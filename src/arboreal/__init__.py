@@ -27,6 +27,7 @@ from .errors import (
     GenerationExhaustedError,
     InputParseError,
     InvalidNetworkError,
+    MissingWitnessError,
     NoEdgesError,
     NotACoverError,
     NotARootError,

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from typing import Optional
 
 from .build import arboreal_representation, build_network_from_cover
 from .cliques import ecc_min, maximal_cliques
-from .errors import ArborealError, InputParseError
+from .errors import ArborealError, InputParseError, MissingWitnessError
 from .graphs import UGraph, contains_gem, find_induced_hole, is_ptolemaic
 from .io import (
     graph_to_dot,
@@ -147,7 +148,10 @@ def _ptolemaic_doc(g: UGraph) -> dict:
         if hole is not None:
             doc["witness"] = {"kind": "hole", "vertices": list(hole)}
         else:
-            doc["witness"] = {"kind": "gem", "vertices": list(contains_gem(g))}
+            gem = contains_gem(g)
+            if gem is None:
+                raise MissingWitnessError("chordal graph is not ptolemaic, yet has no induced gem")
+            doc["witness"] = {"kind": "gem", "vertices": list(gem)}
     return doc
 
 
@@ -222,7 +226,10 @@ def _do_selftest(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace on every
+    # call and never changes the parser, so nothing carries over.
     parser = argparse.ArgumentParser(
         prog="arboreal",
         description="Arboreal networks, ptolemaic graphs and symbolic maps.",

@@ -64,6 +64,15 @@ class ConstructionMismatchError(ArborealError):
     """A constructed network failed its own round-trip check (internal bug)."""
 
 
+class MissingWitnessError(ArborealError):
+    """A graph was rejected as not ptolemaic, yet neither a hole nor an
+    induced gem could be found in it.
+
+    The recognizer and the witness finders agree on every graph; reaching
+    this means a bug.
+    """
+
+
 class GenerationExhaustedError(ArborealError):
     """A random generator gave up after its bounded number of retries."""
 

@@ -157,20 +157,53 @@ def bfs_distances(g: UGraph, source: str) -> dict:
     return dist
 
 
-def _lexbfs_order(g: UGraph) -> list[str]:
-    # Visit the vertex whose label (list of earlier visit numbers, always
-    # decreasing) is lexicographically largest; break ties by taxon position.
-    labels = {t: [] for t in g.taxa}
-    remaining = set(g.taxa)
+def _adjacency_bits(g: UGraph) -> list:
+    # neighbors of the i-th taxon as a bitmask over taxon positions
+    return [sum(1 << g.taxa.index(w) for w in g.neighbors(t)) for t in g.taxa]
+
+
+def _lexbfs(adj: list) -> list:
+    # Lexicographic BFS by partition refinement.  The cells hold the
+    # unvisited vertices of equal label, largest label first; the next
+    # vertex is the lowest taxon position in the first cell, and its
+    # neighbors move to the front of every cell.
+    cells = [(1 << len(adj)) - 1]
     order = []
-    for number in range(len(g.taxa), 0, -1):
-        best = max(remaining, key=lambda t: (labels[t], -g.taxa.index(t)))
-        order.append(best)
-        remaining.remove(best)
-        for w in g.neighbors(best):
-            if w in remaining:
-                labels[w].append(number)
+    while cells:
+        low = cells[0] & -cells[0]
+        v = low.bit_length() - 1
+        order.append(v)
+        refined = []
+        for cell in cells:
+            cell &= ~low
+            inside = cell & adj[v]
+            if inside:
+                refined.append(inside)
+            if cell ^ inside:
+                refined.append(cell ^ inside)
+        cells = refined
     return order
+
+
+def _elimination_adjacency(g: UGraph) -> Optional[list]:
+    """Adjacency bitmasks indexed by LexBFS visit position, or None when the
+    reversed visit order is not a perfect elimination ordering, which is
+    exactly when `g` is not chordal."""
+    adj = _adjacency_bits(g)
+    order = _lexbfs(adj)
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    padj = [sum(1 << pos[w] for w in range(len(adj)) if adj[v] >> w & 1) for v in order]
+    # The earlier-visited neighbors of each vertex, minus the latest of
+    # them, must all be adjacent to that latest one.
+    for i, nbrs in enumerate(padj):
+        earlier = nbrs & ((1 << i) - 1)
+        if earlier:
+            u = earlier.bit_length() - 1
+            if (earlier ^ (1 << u)) & ~padj[u]:
+                return None
+    return padj
 
 
 def is_chordal(g: UGraph) -> bool:
@@ -180,17 +213,7 @@ def is_chordal(g: UGraph) -> bool:
     perfect elimination ordering: for each vertex, its earlier-visited
     neighbors minus the latest of them must all be adjacent to that latest one.
     """
-    order = _lexbfs_order(g)
-    pos = {t: i for i, t in enumerate(order)}
-    for v in order:
-        earlier = [w for w in g.neighbors(v) if pos[w] < pos[v]]
-        if not earlier:
-            continue
-        u = max(earlier, key=lambda w: pos[w])
-        for w in earlier:
-            if w is not u and not g.has_edge(u, w):
-                return False
-    return True
+    return _elimination_adjacency(g) is not None
 
 
 def contains_gem(g: UGraph) -> Optional[tuple[str, ...]]:
@@ -199,6 +222,10 @@ def contains_gem(g: UGraph) -> Optional[tuple[str, ...]]:
     A gem is a four-vertex path plus an apex adjacent to all four path
     vertices.  The path is recognized through its degree sequence: three
     edges on four vertices with degrees 1,1,2,2 force a path.
+
+    This scans every 5-subset, O(n^5), and serves only to name a witness
+    once `is_ptolemaic` has rejected a chordal graph; the decision itself
+    never calls it.
     """
     for sub in combinations(g.taxa.taxa, 5):
         for apex in sub:
@@ -220,11 +247,47 @@ def contains_gem(g: UGraph) -> Optional[tuple[str, ...]]:
 def is_ptolemaic(g: UGraph) -> bool:
     """True iff `g` is chordal and contains no induced gem.
 
-    This is the recognition route used everywhere in the package; the
-    four-point distance inequality is only ever computed by the separate
-    oracle `ptolemy_inequality_holds`.
+    Decided in polynomial time through Howorka's characterization (1981): a
+    graph is ptolemaic iff for every two maximal cliques P, Q that meet,
+    P & Q separates P - Q from Q - P.  One LexBFS yields a perfect
+    elimination ordering (else the graph is not chordal), the at most n
+    maximal cliques are read off it, and each meeting pair gets one bitmask
+    BFS in the graph minus P & Q.  The gem scan `contains_gem` and the
+    four-point distance oracle `ptolemy_inequality_holds` are references
+    and witness finders, not part of this decision.
     """
-    return is_chordal(g) and contains_gem(g) is None
+    padj = _elimination_adjacency(g)
+    if padj is None:
+        return False
+    # Each maximal clique is {v} plus v's earlier-visited neighbors for its
+    # last-visited member v; keep the candidates no larger one contains.
+    candidates = sorted(
+        (padj[i] & ((1 << i) - 1) | (1 << i) for i in range(len(padj))),
+        key=int.bit_count,
+        reverse=True,
+    )
+    cliques = []
+    for c in candidates:
+        if all(c & k != c for k in cliques):
+            cliques.append(c)
+    everything = (1 << len(padj)) - 1
+    for p, q in combinations(cliques, 2):
+        sep = p & q
+        if not sep:
+            continue
+        allowed, goal = everything & ~sep, q & ~sep
+        seen = frontier = p & ~sep
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= padj[low.bit_length() - 1]
+                frontier ^= low
+            if reach & goal:
+                return False
+            frontier = reach & allowed & ~seen
+            seen |= frontier
+    return True
 
 
 def ptolemy_inequality_holds(g: UGraph) -> bool:

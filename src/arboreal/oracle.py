@@ -20,7 +20,7 @@ from .errors import (
     NotArborealError,
     TooLargeError,
 )
-from .graphs import TaxonSet, UGraph, is_connected
+from .graphs import TaxonSet, UGraph, contains_gem, is_chordal, is_connected
 from .networks import Network, is_arboreal, validate_network
 from .symbolic import LabelledNetwork, SymbolicMap, evaluate_map, is_discriminating
 
@@ -418,6 +418,12 @@ def brute_is_chordal(g: UGraph) -> bool:
             if len(seen) == size:
                 return False
     return True
+
+
+def is_ptolemaic_by_gem(g: UGraph) -> bool:
+    """Forbidden-subgraph reference: chordal and no induced gem, by the
+    O(n^5) scan of every 5-subset."""
+    return is_chordal(g) and contains_gem(g) is None
 
 
 def brute_maximal_cliques(g: UGraph) -> frozenset:

@@ -36,6 +36,7 @@ from .oracle import (
     enumerate_connected_graphs,
     enumerate_edge_clique_covers,
     enumerate_labelled_trees,
+    is_ptolemaic_by_gem,
     random_connected_graph,
     random_labelled_network,
     random_network,
@@ -96,18 +97,20 @@ def module_demo_map() -> SymbolicMap:
 
 
 def _ptolemaic_three_way(random_count: int = 10000):
-    """Metric, forbidden-subgraph and clique-order readings agree."""
+    """Metric, forbidden-subgraph, clique-separator and clique-order
+    readings agree."""
 
     def routes_agree(g: UGraph) -> bool:
         metric = ptolemy_inequality_holds(g)
-        structural = is_ptolemaic(g)
+        gem_free = is_ptolemaic_by_gem(g)
+        separators = is_ptolemaic(g)
         fam = maximal_cliques(g)
         order = (
             underlying_acyclic(cover_digraph(intersection_closure(fam)))
             if len(fam)
             else True
         )
-        return metric == structural == order
+        return metric == gem_free == separators == order
 
     checked = disagreements = 0
     for n in range(1, 6):

@@ -20,6 +20,7 @@ from .cliques import CliqueFamily, intersection_closure, maximal_cliques
 from .errors import (
     AmbiguousSplitError,
     ConstructionMismatchError,
+    MissingWitnessError,
     NotArborealError,
     NotUltrametricError,
     TooLargeError,
@@ -257,8 +258,12 @@ def check_arboreal_conditions(d: SymbolicMap) -> Optional[Violation]:
     hole = find_induced_hole(g)
     if hole is not None:
         return attest(Violation(NOT_PTOLEMAIC, hole, "chordless cycle in the support graph"))
-    gem = contains_gem(g)
-    if gem is not None:
+    if not is_ptolemaic(g):
+        gem = contains_gem(g)
+        if gem is None:
+            raise MissingWitnessError(
+                "chordal support graph is not ptolemaic, yet has no induced gem"
+            )
         return attest(Violation(NOT_PTOLEMAIC, gem, "induced gem in the support graph"))
     triple = find_delta_violation(d)
     if triple is not None:
@@ -704,12 +709,20 @@ def _canonical_form(ln: LabelledNetwork, anchor: str) -> str:
         nbrs[u].append((v, ">"))
         nbrs[v].append((u, "<"))
 
-    def enc(v: int, back) -> str:
+    root = net.leaf_vertex(anchor)
+    parent = {root: None}
+    order = [root]
+    for v in order:  # breadth-first; the list grows as it is walked
+        for w, _ in nbrs[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code: dict = {}
+    for v in reversed(order):
         head = net.taxon_of(v) if net.is_leaf(v) else ln._label_of.get(v, "")
-        parts = sorted(tag + enc(w, v) for w, tag in nbrs[v] if w != back)
-        return "(" + head + "|" + ",".join(parts) + ")"
-
-    return enc(net.leaf_vertex(anchor), None)
+        parts = sorted(tag + code.pop(w) for w, tag in nbrs[v] if w != parent[v])
+        code[v] = "(" + head + "|" + ",".join(parts) + ")"
+    return code[root]
 
 
 def are_isomorphic(a: LabelledNetwork, b: LabelledNetwork) -> bool:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from arboreal.cli import main
-from arboreal.io import load_json, parse_labelled, parse_map, serialize_map, to_json
+from arboreal import SymbolicMap, TaxonSet, UGraph
+from arboreal.io import load_json, parse_labelled, parse_map, serialize_graph, serialize_map, to_json
 from arboreal.selftest import CriterionResult
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -182,3 +183,41 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--input", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+def test_consecutive_calls_share_no_argument_values(capsys, tmp_path):
+    code, out, _ = run(capsys, "represent", "--arboreal", "--input", fix("c4.json"))
+    assert code == 1 and json.loads(out)["ptolemaic"] is False
+    code, out, _ = run(capsys, "represent", "--input", fix("c4.json"))
+    assert code == 0 and set(json.loads(out)) == {"network", "shared_ancestry_graph"}
+
+    dot = tmp_path / "out.dot"
+    code, out, _ = run(
+        capsys, "explain", "--dot", "--input", fix("seven_taxa_map.json"), "--output", str(dot)
+    )
+    assert code == 0 and out == "" and dot.read_text().startswith("digraph ")
+    code, out, _ = run(capsys, "explain", "--input", fix("seven_taxa_map.json"))
+    assert code == 0 and "labels" in json.loads(out)
+
+    code, out, _ = run(capsys, "gen", "--seed", "5", "--count", "1", "--max-n", "4")
+    assert code == 0
+    code, out, _ = run(capsys, "gen", "--max-n", "4")
+    doc = json.loads(out)
+    assert (doc["seed"], doc["count"]) == (0, 10)
+
+
+GEM_EDGES = [("a", "b"), ("b", "c"), ("c", "d")] + [("e", v) for v in "abcd"]
+
+
+def test_a_missing_gem_witness_is_an_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("arboreal.cli.contains_gem", lambda g: None)
+    monkeypatch.setattr("arboreal.symbolic.contains_gem", lambda g: None)
+    graph = tmp_path / "gem.json"
+    graph.write_text(to_json(serialize_graph(UGraph.build("abcde", GEM_EDGES))))
+    gem_map = tmp_path / "gem_map.json"
+    d = SymbolicMap.build(TaxonSet.of("abcde"), {e: "A" for e in GEM_EDGES})
+    gem_map.write_text(to_json(serialize_map(d)))
+    for argv in (("ptolemaic", "--input", str(graph)), ("check", "--input", str(gem_map))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -1,4 +1,7 @@
-"""Taxon sets, undirected graphs, and the three ptolemaic recognizers."""
+"""Taxon sets, undirected graphs, and the ptolemaic recognizers."""
+
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,15 @@ from arboreal import (
     is_ptolemaic,
     ptolemy_inequality_holds,
 )
-from arboreal.oracle import brute_is_chordal, enumerate_connected_graphs, random_connected_graph
+from arboreal.networks import shared_ancestry_graph
+from arboreal.oracle import (
+    GenParams,
+    brute_is_chordal,
+    enumerate_connected_graphs,
+    is_ptolemaic_by_gem,
+    random_connected_graph,
+    random_network,
+)
 
 
 def complete_graph(taxa):
@@ -179,3 +190,56 @@ def test_hole_witnesses_verify(seed, n):
     ring = induced_subgraph(g, hole)
     assert all(ring.degree(v) == 2 for v in hole)
     assert is_connected(ring)
+
+
+def test_ptolemaic_matches_gem_reference_on_every_small_graph():
+    # every labelled graph on 1..6 vertices, disconnected ones included
+    checked = ptolemaic = 0
+    for n in range(1, 7):
+        names = "abcdef"[:n]
+        pairs = list(combinations(names, 2))
+        for mask in range(1 << len(pairs)):
+            g = UGraph.build(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            verdict = is_ptolemaic(g)
+            assert verdict == is_ptolemaic_by_gem(g), g.sorted_edges()
+            checked += 1
+            ptolemaic += verdict
+    assert checked == 1 + 2 + 8 + 64 + 1024 + 32768
+    assert 0 < ptolemaic < checked
+
+
+def grown_chordal_graph(n, seed):
+    # each new vertex joins a clique inside the closed neighborhood of an
+    # earlier one, so every graph is chordal and gems are common
+    rng = random.Random(seed)
+    names = [f"t{i}" for i in range(n)]
+    adj = {names[0]: set()}
+    for i in range(1, n):
+        anchor = rng.choice(names[:i])
+        joined = [anchor]
+        for w in sorted(adj[anchor]):
+            if rng.random() < 0.6 and all(w in adj[k] for k in joined):
+                joined.append(w)
+        adj[names[i]] = set(joined)
+        for w in joined:
+            adj[w].add(names[i])
+    return UGraph.build(names, [(v, w) for v in names for w in adj[v] if v < w])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 12), st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+def test_ptolemaic_matches_gem_reference_on_random_graphs(seed, n, density):
+    rng = random.Random(seed)
+    names = [f"t{i}" for i in range(n)]
+    g = UGraph.build(names, [e for e in combinations(names, 2) if rng.random() < density])
+    assert is_ptolemaic(g) == is_ptolemaic_by_gem(g)
+    chordal = grown_chordal_graph(n, seed)
+    assert is_ptolemaic(chordal) == is_ptolemaic_by_gem(chordal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0.0, 0.05, 0.15, 0.3]))
+def test_ptolemaic_matches_gem_reference_on_shared_ancestry(seed, bias):
+    p = GenParams(leaf_range=(4, 12), root_range=(1, 5), hybrid_bias=bias, seed=seed)
+    g = shared_ancestry_graph(random_network(p))
+    assert is_ptolemaic(g) == is_ptolemaic_by_gem(g)

@@ -30,7 +30,8 @@ from arboreal import (
     strong_clique_modules,
     verify_phi_bijection,
 )
-from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI
+from arboreal.networks import validate_network
+from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI, _canonical_form
 from arboreal.oracle import GenParams, random_labelled_network, random_uncollapse
 
 
@@ -294,3 +295,46 @@ def test_undoing_collapses_keeps_the_map(seed):
     assert not is_discriminating(grown)
     assert evaluate_map(grown) == evaluate_map(nf)
     assert are_isomorphic(make_discriminating(grown), nf)
+
+
+def recursive_canonical_form(ln, anchor):
+    # the recursive encoding `_canonical_form` must reproduce character for
+    # character; it recurses once per tree level
+    net = ln.net
+    nbrs = {v: [] for v in net.vertices()}
+    for u, v in net.arcs:
+        nbrs[u].append((v, ">"))
+        nbrs[v].append((u, "<"))
+
+    def enc(v, back):
+        head = net.taxon_of(v) if net.is_leaf(v) else ln._label_of.get(v, "")
+        parts = sorted(tag + enc(w, v) for w, tag in nbrs[v] if w != back)
+        return "(" + head + "|" + ",".join(parts) + ")"
+
+    return enc(net.leaf_vertex(anchor), None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_canonical_form_matches_the_recursive_encoding(seed):
+    p = GenParams(leaf_range=(2, 12), root_range=(1, 4), symbol_count=3, seed=seed)
+    ln = random_labelled_network(p)
+    for anchor in ln.taxa.taxa:
+        assert _canonical_form(ln, anchor) == recursive_canonical_form(ln, anchor)
+
+
+def test_isomorphism_of_a_deep_caterpillar():
+    # one root, spine vertices 0..n-2, each with a leaf; the smallest taxon
+    # hangs at the far end of the spine
+    n = 2000
+    spine = n - 1
+    arcs = [(i, i + 1) for i in range(spine - 1)]
+    leaves = {}
+    for i in range(spine):
+        arcs.append((i, spine + i))
+        leaves[spine + i] = f"t{n - 1 - i:04d}"
+    arcs.append((spine - 1, 2 * spine))
+    leaves[2 * spine] = "t0000"
+    net = validate_network(arcs, leaves, num_vertices=2 * spine + 1)
+    ln = LabelledNetwork.build(net, {i: "AB"[i % 2] for i in range(spine)})
+    assert are_isomorphic(ln, ln)
