@@ -5,7 +5,6 @@ from .build import (
     arboreal_representation,
     build_network_from_cover,
     contract_tree_arcs,
-    naive_representation,
 )
 from .cliques import (
     CliqueFamily,
@@ -30,11 +29,8 @@ from .errors import (
     MissingWitnessError,
     NoEdgesError,
     NotACoverError,
-    NotARootError,
     NotArborealError,
     NotUltrametricError,
-    SingleRootedError,
-    SubsetTooSmallError,
     TooLargeError,
     UnknownTaxonError,
     UnknownVertexError,
@@ -50,6 +46,7 @@ from .graphs import (
     is_chordal,
     is_connected,
     is_ptolemaic,
+    ptolemaic_witness,
     ptolemy_inequality_holds,
 )
 from .networks import (
@@ -60,9 +57,6 @@ from .networks import (
     from_digraph,
     h_tilde,
     is_arboreal,
-    lca,
-    remove_root,
-    restrict,
     shared_ancestry_graph,
     validate_network,
 )

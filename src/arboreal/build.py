@@ -20,40 +20,6 @@ from .graphs import UGraph, is_connected, is_ptolemaic
 from .networks import Network, from_digraph, is_arboreal, shared_ancestry_graph
 
 
-def naive_representation(g: UGraph) -> Network:
-    """A network whose shared-ancestry graph is `g`, built one root per edge.
-
-    Every taxon becomes a leaf under its own parent vertex, and every edge
-    of `g` gets a fresh root over the two parent vertices involved.  The
-    parent vertices exist to keep the per-edge roots from colliding; when a
-    taxon ends up under a single root its parent is just a pass-through and
-    is suppressed.
-    """
-    if not g.edge_count:
-        raise NoEdgesError("need at least one edge")
-    if not is_connected(g):
-        raise DisconnectedGraphError("the graph must be connected")
-    verts = [("leaf", t) for t in g.taxa] + [("mid", t) for t in g.taxa]
-    arcs = [(("mid", t), ("leaf", t)) for t in g.taxa]
-    for x, y in g.sorted_edges():
-        verts.append(("top", x, y))
-        arcs.append((("top", x, y), ("mid", x)))
-        arcs.append((("top", x, y), ("mid", y)))
-    # suppress pass-through parents: taxa of degree 1 sit under one root only
-    for t in g.taxa:
-        if g.degree(t) == 1:
-            verts.remove(("mid", t))
-            edge = next(e for e in g.sorted_edges() if t in e)
-            top = ("top", *edge)
-            arcs.remove((top, ("mid", t)))
-            arcs.remove((("mid", t), ("leaf", t)))
-            arcs.append((top, ("leaf", t)))
-    net = from_digraph(verts, arcs, {("leaf", t): t for t in g.taxa})
-    assert net.root_count() == g.edge_count
-    assert shared_ancestry_graph(net) == g
-    return net
-
-
 def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     """The network hung under the containment order of `cover`'s
     intersection closure.
@@ -168,58 +134,35 @@ def arboreal_representation(g: UGraph) -> Optional[Network]:
 def contract_tree_arcs(net: Network) -> Network:
     """Contract away the branching-into-branching tree arcs.
 
-    Repeatedly contract an arc (u, v) where u has outdegree >= 2 and v is a
-    non-leaf vertex of indegree 1, merging v into u, until no such arc is
-    left.  Arcs are picked in topological-then-id order; the fixpoint does
-    not depend on the order.  Leaf set, root count and the shared-ancestry
-    graph are unchanged (asserted).
+    Contracting an arc (u, v) where u has outdegree >= 2 and v is a non-leaf
+    vertex of indegree 1 merges v into u.  Indegrees never change under such
+    merges, and only a vertex of outdegree >= 2 gains children, so the
+    fixpoint is reached in one pass: v is merged exactly when it is not a
+    leaf, has indegree 1 and its parent has outdegree >= 2 (an outdegree-1
+    parent is a hybrid and never changes).  Each surviving vertex keeps its
+    id order and hangs below the first survivor above each of its parents.
+    Leaf set, root count and the shared-ancestry graph are unchanged
+    (asserted).
     """
     if not is_arboreal(net):
         raise NotArborealError("contraction is defined on arboreal networks")
 
-    kids = {v: set(net.children(v)) for v in net.vertices()}
-    pars = {v: set(net.parents(v)) for v in net.vertices()}
-    leaves = set(net.leaf_vertices)
+    merged = {
+        v
+        for v in net.vertices()
+        if not net.is_leaf(v) and net.indeg(v) == 1 and net.outdeg(net.parents(v)[0]) >= 2
+    }
 
-    def topo_order() -> list:
-        pending = {v: len(pars[v]) for v in kids}
-        ready = sorted((v for v in kids if not pending[v]), reverse=True)
-        out = []
-        while ready:
-            v = ready.pop()
-            out.append(v)
-            for c in sorted(kids[v], reverse=True):
-                pending[c] -= 1
-                if not pending[c]:
-                    ready.append(c)
-            ready.sort(reverse=True)
-        return out
+    def survivor(v: int) -> int:
+        while v in merged:
+            (v,) = net.parents(v)
+        return v
 
-    changed = True
-    while changed:
-        changed = False
-        for u in topo_order():
-            if len(kids[u]) < 2:
-                continue
-            for v in sorted(kids[u]):
-                if v in leaves or len(pars[v]) != 1:
-                    continue
-                kids[u].discard(v)
-                for c in kids[v]:
-                    kids[u].add(c)
-                    pars[c].discard(v)
-                    pars[c].add(u)
-                del kids[v], pars[v]
-                changed = True
-                break
-            if changed:
-                break
-
-    order = sorted(kids)
+    order = [v for v in net.vertices() if v not in merged]
     out = from_digraph(
         order,
-        [(u, v) for u in order for v in sorted(kids[u])],
-        {v: net.taxon_of(v) for v in order if v in leaves},
+        [(survivor(p), v) for v in order for p in net.parents(v)],
+        dict(net.leaves),
         taxa=net.taxa,
     )
     assert is_arboreal(out)

@@ -15,8 +15,8 @@ from typing import Optional
 
 from .build import arboreal_representation, build_network_from_cover
 from .cliques import ecc_min, maximal_cliques
-from .errors import ArborealError, InputParseError, MissingWitnessError
-from .graphs import UGraph, contains_gem, find_induced_hole, is_ptolemaic
+from .errors import ArborealError, InputParseError
+from .graphs import UGraph, ptolemaic_witness
 from .io import (
     graph_to_dot,
     labelled_to_dot,
@@ -141,18 +141,11 @@ def _do_sag(args) -> int:
 
 
 def _ptolemaic_doc(g: UGraph) -> dict:
-    verdict = is_ptolemaic(g)
-    doc = {"ptolemaic": verdict}
-    if not verdict:
-        hole = find_induced_hole(g)
-        if hole is not None:
-            doc["witness"] = {"kind": "hole", "vertices": list(hole)}
-        else:
-            gem = contains_gem(g)
-            if gem is None:
-                raise MissingWitnessError("chordal graph is not ptolemaic, yet has no induced gem")
-            doc["witness"] = {"kind": "gem", "vertices": list(gem)}
-    return doc
+    witness = ptolemaic_witness(g)
+    if witness is None:
+        return {"ptolemaic": True}
+    kind, vertices = witness
+    return {"ptolemaic": False, "witness": {"kind": kind, "vertices": list(vertices)}}
 
 
 def _do_ptolemaic(args) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import NoEdgesError, TooLargeError
-from .graphs import TaxonSet, UGraph
+from .graphs import TaxonSet, UGraph, _adjacency_bits
 
 ECC_EDGE_CAP = 24
 
@@ -83,15 +83,6 @@ class CoverDigraph:
         return [(self.family.sets[a], self.family.sets[b]) for a, b in self.arcs]
 
 
-def _adjacency_masks(g: UGraph) -> list[int]:
-    index = {t: i for i, t in enumerate(g.taxa)}
-    masks = [0] * len(g.taxa)
-    for a, b in g.edges:
-        masks[index[a]] |= 1 << index[b]
-        masks[index[b]] |= 1 << index[a]
-    return masks
-
-
 def _mask_to_set(mask: int, taxa: TaxonSet) -> frozenset:
     return frozenset(taxa.taxa[i] for i in range(len(taxa)) if mask >> i & 1)
 
@@ -99,32 +90,34 @@ def _mask_to_set(mask: int, taxa: TaxonSet) -> frozenset:
 def maximal_cliques(g: UGraph) -> CliqueFamily:
     """All inclusion-maximal cliques with at least two vertices.
 
-    Bron-Kerbosch with a greedy pivot, on adjacency bitmasks.  Vertices with
-    no neighbors contribute nothing: cliques here always have size >= 2.
+    Bron-Kerbosch with a greedy pivot, on adjacency bitmasks, driven by an
+    explicit stack of (clique, candidates, excluded) states so that deep
+    cliques need no recursion.  Vertices with no neighbors contribute
+    nothing: cliques here always have size >= 2.
     """
-    adj = _adjacency_masks(g)
+    adj = _adjacency_bits(g)
     n = len(g.taxa)
     found = []
-
-    def expand(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            if bin(r).count("1") >= 2:
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x and r.bit_count() >= 2:
                 found.append(r)
-            return
+            continue
         cand = p | x
         pivot = max(
             (i for i in range(n) if cand >> i & 1),
-            key=lambda i: bin(p & adj[i]).count("1"),
+            key=lambda i: (p & adj[i]).bit_count(),
         )
         rest = p & ~adj[pivot]
-        for i in range(n):
-            if rest >> i & 1:
-                bit = 1 << i
-                expand(r | bit, p & adj[i], x & adj[i])
-                p &= ~bit
-                x |= bit
-
-    expand(0, (1 << n) - 1, 0)
+        while rest:
+            bit = rest & -rest
+            i = bit.bit_length() - 1
+            stack.append((r | bit, p & adj[i], x & adj[i]))
+            p &= ~bit
+            x |= bit
+            rest ^= bit
     return CliqueFamily.build(g.taxa, [_mask_to_set(m, g.taxa) for m in found])
 
 

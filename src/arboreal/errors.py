@@ -37,18 +37,6 @@ class NotArborealError(ArborealError):
     """An operation restricted to arboreal networks got a non-arboreal one."""
 
 
-class NotARootError(ArborealError):
-    """The named vertex is not a root of the network."""
-
-
-class SingleRootedError(ArborealError):
-    """Root removal needs a network with at least two roots."""
-
-
-class SubsetTooSmallError(ArborealError):
-    """Restriction needs a leaf subset with at least two taxa."""
-
-
 class NotUltrametricError(ArborealError):
     """No labelled tree on the given taxa can produce the map."""
 

@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 from .errors import (
     DisconnectedGraphError,
     EmptySubsetError,
+    MissingWitnessError,
     UnknownTaxonError,
 )
 
@@ -157,9 +158,14 @@ def bfs_distances(g: UGraph, source: str) -> dict:
     return dist
 
 
-def _adjacency_bits(g: UGraph) -> list:
+def _adjacency_bits(g: UGraph) -> list[int]:
     # neighbors of the i-th taxon as a bitmask over taxon positions
-    return [sum(1 << g.taxa.index(w) for w in g.neighbors(t)) for t in g.taxa]
+    masks = [0] * len(g.taxa)
+    for a, b in g.edges:
+        i, j = g.taxa.index(a), g.taxa.index(b)
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
 
 
 def _lexbfs(adj: list) -> list:
@@ -354,3 +360,23 @@ def find_induced_hole(g: UGraph) -> Optional[tuple[str, ...]]:
                 path.reverse()
                 return (v, *path)
     return None
+
+
+def ptolemaic_witness(g: UGraph) -> Optional[tuple[str, tuple[str, ...]]]:
+    """None when `g` is ptolemaic, else ("hole", vertices) for a chordless
+    cycle or, when `g` is chordal, ("gem", vertices) for an induced gem.
+
+    The polynomial `is_ptolemaic` decides; the witness searches run only
+    after it rejects.  Raises `MissingWitnessError` when neither finds
+    anything, which would mean the recognizer and the witness finders
+    disagree.
+    """
+    if is_ptolemaic(g):
+        return None
+    hole = find_induced_hole(g)
+    if hole is not None:
+        return ("hole", hole)
+    gem = contains_gem(g)
+    if gem is None:
+        raise MissingWitnessError("chordal graph is not ptolemaic, yet has no induced gem")
+    return ("gem", gem)

@@ -12,15 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import errors
-from .errors import (
-    InvalidNetworkError,
-    NotARootError,
-    NotArborealError,
-    SingleRootedError,
-    SubsetTooSmallError,
-    UnknownTaxonError,
-    UnknownVertexError,
-)
+from .errors import InvalidNetworkError, UnknownTaxonError, UnknownVertexError
 from .graphs import TaxonSet, UGraph
 
 
@@ -410,117 +402,3 @@ def shared_ancestry_graph(net: Network) -> UGraph:
         if anc[x] & anc[y]
     ]
     return UGraph(net.taxa, frozenset(edges))
-
-
-def lca(net: Network, x: str, y: str) -> Optional[int]:
-    """The least common ancestor vertex of leaves `x` and `y`, or None when
-    they share no ancestor.  Only defined on arboreal networks, where the
-    minimal common ancestor is unique."""
-    if not is_arboreal(net):
-        raise NotArborealError("least common ancestors need an arboreal network")
-    common = net.ancestors(net.leaf_vertex(x)) & net.ancestors(net.leaf_vertex(y))
-    if not common:
-        return None
-    minimal = [v for v in common if not any(c in common for c in net.children(v))]
-    assert len(minimal) == 1, "minimal common ancestor must be unique here"
-    return minimal[0]
-
-
-def _prune_to_network(
-    net: Network,
-    alive: set,
-    keep_leaves: set,
-    taxa_order: Sequence[str],
-) -> Network:
-    """Shared fixpoint cleanup: on the vertices in `alive`, repeatedly drop
-    sinks that are not protected leaves, drop indegree-0 outdegree-1
-    vertices, and splice out pass-through vertices; then relabel.
-
-    The three rules commute, so any scan order reaches the same fixpoint;
-    this one rescans in vertex-id order after every change.
-    """
-    kids = {v: set(c for c in net.children(v) if c in alive) for v in alive}
-    pars = {v: set(p for p in net.parents(v) if p in alive) for v in alive}
-
-    def drop(v: int):
-        for p in pars[v]:
-            kids[p].discard(v)
-        for c in kids[v]:
-            pars[c].discard(v)
-        del kids[v], pars[v]
-        alive.discard(v)
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if not kids[v] and v not in keep_leaves:
-                drop(v)
-            elif not pars[v] and len(kids[v]) == 1:
-                drop(v)
-            elif len(pars[v]) == 1 and len(kids[v]) == 1:
-                (p,), (c,) = pars[v], kids[v]
-                drop(v)
-                kids[p].add(c)
-                pars[c].add(p)
-            else:
-                continue
-            changed = True
-            break
-
-    order = sorted(alive)
-    leaf_names = {v: net._taxon_of[v] for v in order if v in keep_leaves}
-    return from_digraph(
-        order,
-        [(u, v) for u in order for v in sorted(kids[u])],
-        leaf_names,
-        taxa=TaxonSet.of(taxa_order),
-    )
-
-
-def restrict(net: Network, subset: Iterable[str]) -> Network:
-    """The network induced on the leaf subset: drop the other leaves, then
-    clean up to the fixpoint of the removal rules.
-
-    Validation of the pruned digraph happens as usual, so a subset whose
-    members share no ancestry surfaces as a disconnection error.
-    """
-    chosen = set(subset)
-    for t in chosen:
-        if t not in net.taxa:
-            raise UnknownTaxonError(t)
-    if len(chosen) < 2:
-        raise SubsetTooSmallError("restriction needs at least two taxa")
-    if len(chosen) == len(net.taxa):
-        return net
-    keep = {net.leaf_vertex(t) for t in chosen}
-    alive = set(net.vertices()) - {v for v, t in net.leaves if t not in chosen}
-    return _prune_to_network(
-        net, alive, keep, [t for t in net.taxa if t in chosen]
-    )
-
-
-def remove_root(net: Network, r: int) -> Optional[Network]:
-    """Drop everything only root `r` could reach, then clean up.
-
-    Keeps exactly the vertices that descend from some other root; the
-    surviving leaf set may shrink.  Returns None when the remainder is
-    disconnected (then it is no network at all).
-    """
-    net.check_vertex(r)
-    if net.indeg(r) != 0:
-        raise NotARootError(f"vertex {r} is not a root")
-    other_roots = [s for s in net.roots if s != r]
-    if not other_roots:
-        raise SingleRootedError("removal needs at least two roots")
-    alive = set()
-    for s in other_roots:
-        alive |= net.descendants(s)
-    keep = {v for v, _ in net.leaves if v in alive}
-    taxa_order = [t for t in net.taxa if net.leaf_vertex(t) in alive]
-    try:
-        return _prune_to_network(net, alive, keep, taxa_order)
-    except InvalidNetworkError as err:
-        if err.kind == errors.DISCONNECTED:
-            return None
-        raise

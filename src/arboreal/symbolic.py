@@ -20,7 +20,6 @@ from .cliques import CliqueFamily, intersection_closure, maximal_cliques
 from .errors import (
     AmbiguousSplitError,
     ConstructionMismatchError,
-    MissingWitnessError,
     NotArborealError,
     NotUltrametricError,
     TooLargeError,
@@ -29,12 +28,12 @@ from .errors import (
 from .graphs import (
     TaxonSet,
     UGraph,
+    _adjacency_bits,
     connected_components,
-    contains_gem,
-    find_induced_hole,
     induced_subgraph,
     is_connected,
     is_ptolemaic,
+    ptolemaic_witness,
 )
 from .networks import (
     Network,
@@ -236,6 +235,12 @@ def find_a4_violation(d: SymbolicMap) -> Optional[tuple]:
     return None
 
 
+_PTOLEMAIC_DETAIL = {
+    "hole": "chordless cycle in the support graph",
+    "gem": "induced gem in the support graph",
+}
+
+
 def check_arboreal_conditions(d: SymbolicMap) -> Optional[Violation]:
     """The first reason no labelled arboreal network can explain `d`, or None.
 
@@ -255,16 +260,10 @@ def check_arboreal_conditions(d: SymbolicMap) -> Optional[Violation]:
         return attest(
             Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components")
         )
-    hole = find_induced_hole(g)
-    if hole is not None:
-        return attest(Violation(NOT_PTOLEMAIC, hole, "chordless cycle in the support graph"))
-    if not is_ptolemaic(g):
-        gem = contains_gem(g)
-        if gem is None:
-            raise MissingWitnessError(
-                "chordal support graph is not ptolemaic, yet has no induced gem"
-            )
-        return attest(Violation(NOT_PTOLEMAIC, gem, "induced gem in the support graph"))
+    witness = ptolemaic_witness(g)
+    if witness is not None:
+        kind, vertices = witness
+        return attest(Violation(NOT_PTOLEMAIC, vertices, _PTOLEMAIC_DETAIL[kind]))
     triple = find_delta_violation(d)
     if triple is not None:
         return attest(Violation(DELTA, triple, "three distinct symbols on one triple"))
@@ -496,17 +495,6 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
 # Clique-modules.
 
 
-def _support_masks(d: SymbolicMap) -> list:
-    n = len(d.taxa)
-    adj = [0] * n
-    for (a, b), val in d.items():
-        if val is not None:
-            i, j = d.taxa.index(a), d.taxa.index(b)
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return adj
-
-
 def _is_clique_mask(adj: list, mask: int) -> bool:
     m = mask
     while m:
@@ -526,7 +514,7 @@ def clique_modules(d: SymbolicMap) -> CliqueFamily:
     if n > 16:
         raise TooLargeError("clique-module enumeration is desk-scale, 16 taxa at most")
     verts = d.taxa.taxa
-    adj = _support_masks(d)
+    adj = _adjacency_bits(graph_of_map(d))
     found = []
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
@@ -560,7 +548,7 @@ def strong_clique_modules(d: SymbolicMap) -> CliqueFamily:
     at all."""
     mods = clique_modules(d)
     idx = d.taxa.index
-    adj = _support_masks(d)
+    adj = _adjacency_bits(graph_of_map(d))
     masks = []
     for s in mods.sets:
         m = 0

@@ -19,24 +19,12 @@ from arboreal import (
     maximal_cliques,
     shared_ancestry_graph,
 )
+from arboreal.networks import from_digraph
 from arboreal.oracle import GenParams, random_arboreal_network, random_connected_graph
 
 
 def root_clusters(net):
     return {cluster(net, r) for r in net.roots}
-
-
-def test_naive_representation_uses_one_root_per_edge(two_quads, c4):
-    from arboreal import naive_representation
-
-    for g in (two_quads, c4):
-        net = naive_representation(g)
-        assert net.root_count() == g.edge_count
-        assert shared_ancestry_graph(net) == g
-    with pytest.raises(NoEdgesError):
-        naive_representation(UGraph.build("ab", []))
-    with pytest.raises(DisconnectedGraphError):
-        naive_representation(UGraph.build("abcd", [("a", "b"), ("c", "d")]))
 
 
 def test_cover_network_on_the_two_quads(two_quads):
@@ -69,12 +57,20 @@ def test_nested_cover_members_stop_being_roots(two_quads):
     assert shared_ancestry_graph(net) == two_quads
 
 
-def test_cover_network_on_a_cycle(c4):
+def test_cover_network_on_a_cycle(c4, two_quads):
     fam = maximal_cliques(c4)  # the four edges
     net = build_network_from_cover(c4, fam)
     assert shared_ancestry_graph(net) == c4
     assert net.root_count() == 4
     assert not is_arboreal(net)
+    # the edges of any graph are distinct 2-sets, hence an antichain cover
+    # that hangs one root over each edge
+    for g in (two_quads, c4):
+        edges = CliqueFamily.build(g.taxa, g.edges)
+        net = build_network_from_cover(g, edges)
+        assert net.root_count() == g.edge_count
+        assert root_clusters(net) == edges.as_sets()
+        assert shared_ancestry_graph(net) == g
 
 
 def test_cover_missing_a_taxon_cannot_connect():
@@ -148,3 +144,69 @@ def test_contraction_preserves_the_interesting_structure(seed):
     # fixpoint: nothing left for a second pass
     again = contract_tree_arcs(packed)
     assert again.num_vertices == packed.num_vertices
+
+
+def contract_by_fixpoint(net):
+    # The contraction as a fixpoint loop: contract the first eligible arc in
+    # topological-then-id order, recompute the order, repeat until none is
+    # left.  Reference for the one-pass `contract_tree_arcs`.
+    kids = {v: set(net.children(v)) for v in net.vertices()}
+    pars = {v: set(net.parents(v)) for v in net.vertices()}
+    leaves = set(net.leaf_vertices)
+
+    def topo_order():
+        pending = {v: len(pars[v]) for v in kids}
+        ready = sorted((v for v in kids if not pending[v]), reverse=True)
+        out = []
+        while ready:
+            v = ready.pop()
+            out.append(v)
+            for c in sorted(kids[v], reverse=True):
+                pending[c] -= 1
+                if not pending[c]:
+                    ready.append(c)
+            ready.sort(reverse=True)
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for u in topo_order():
+            if len(kids[u]) < 2:
+                continue
+            for v in sorted(kids[u]):
+                if v in leaves or len(pars[v]) != 1:
+                    continue
+                kids[u].discard(v)
+                for c in kids[v]:
+                    kids[u].add(c)
+                    pars[c].discard(v)
+                    pars[c].add(u)
+                del kids[v], pars[v]
+                changed = True
+                break
+            if changed:
+                break
+
+    order = sorted(kids)
+    return from_digraph(
+        order,
+        [(u, v) for u in order for v in sorted(kids[u])],
+        {v: net.taxon_of(v) for v in order if v in leaves},
+        taxa=net.taxa,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_contraction_matches_the_fixpoint_loop(seed, from_graph):
+    p = GenParams(leaf_range=(3, 12), root_range=(1, 4), seed=seed)
+    net = random_arboreal_network(p)
+    if from_graph:
+        # the arboreal representation of a ptolemaic support graph, the
+        # input `explain` contracts
+        net = arboreal_representation(shared_ancestry_graph(net))
+    packed = contract_tree_arcs(net)
+    expected = contract_by_fixpoint(net)
+    assert packed == expected
+    assert packed.vertex_names == expected.vertex_names

@@ -210,8 +210,7 @@ GEM_EDGES = [("a", "b"), ("b", "c"), ("c", "d")] + [("e", v) for v in "abcd"]
 
 
 def test_a_missing_gem_witness_is_an_error(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("arboreal.cli.contains_gem", lambda g: None)
-    monkeypatch.setattr("arboreal.symbolic.contains_gem", lambda g: None)
+    monkeypatch.setattr("arboreal.graphs.contains_gem", lambda g: None)
     graph = tmp_path / "gem.json"
     graph.write_text(to_json(serialize_graph(UGraph.build("abcde", GEM_EDGES))))
     gem_map = tmp_path / "gem_map.json"

@@ -78,6 +78,12 @@ def test_maximal_cliques_match_brute_force_random(seed, n):
     assert maximal_cliques(g).as_sets() == brute_maximal_cliques(g)
 
 
+def test_maximal_cliques_of_a_clique_deeper_than_the_recursion_limit():
+    taxa = [f"t{i}" for i in range(1100)]
+    k = UGraph.build(taxa, [(a, b) for i, a in enumerate(taxa) for b in taxa[i + 1:]])
+    assert maximal_cliques(k).as_sets() == frozenset({frozenset(taxa)})
+
+
 def test_cover_predicate(two_quads):
     assert is_edge_clique_cover(two_quads, family(two_quads, "1234", "3456"))
     # members may nest, coverage is all that counts
