@@ -27,6 +27,20 @@ def root_clusters(net):
     return {cluster(net, r) for r in net.roots}
 
 
+def test_naive_representation_uses_one_root_per_edge(two_quads, c4):
+    # the edges of any graph are distinct 2-sets, hence an antichain cover
+    # that hangs one root over each edge
+    for g in (two_quads, c4):
+        edges = CliqueFamily.build(g.taxa, g.edges)
+        net = build_network_from_cover(g, edges)
+        assert net.root_count() == g.edge_count
+        assert root_clusters(net) == edges.as_sets()
+        assert shared_ancestry_graph(net) == g
+    split = UGraph.build("abcd", [("a", "b"), ("c", "d")])
+    with pytest.raises(InvalidNetworkError):
+        build_network_from_cover(split, CliqueFamily.build(split.taxa, split.edges))
+
+
 def test_cover_network_on_the_two_quads(two_quads):
     fam = maximal_cliques(two_quads)
     net = build_network_from_cover(two_quads, fam)
@@ -57,20 +71,12 @@ def test_nested_cover_members_stop_being_roots(two_quads):
     assert shared_ancestry_graph(net) == two_quads
 
 
-def test_cover_network_on_a_cycle(c4, two_quads):
+def test_cover_network_on_a_cycle(c4):
     fam = maximal_cliques(c4)  # the four edges
     net = build_network_from_cover(c4, fam)
     assert shared_ancestry_graph(net) == c4
     assert net.root_count() == 4
     assert not is_arboreal(net)
-    # the edges of any graph are distinct 2-sets, hence an antichain cover
-    # that hangs one root over each edge
-    for g in (two_quads, c4):
-        edges = CliqueFamily.build(g.taxa, g.edges)
-        net = build_network_from_cover(g, edges)
-        assert net.root_count() == g.edge_count
-        assert root_clusters(net) == edges.as_sets()
-        assert shared_ancestry_graph(net) == g
 
 
 def test_cover_missing_a_taxon_cannot_connect():
