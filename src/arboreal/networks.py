@@ -122,10 +122,6 @@ class Network:
                     queue.append(c)
         return frozenset(seen)
 
-    def leaf_ancestor_sets(self) -> dict:
-        """taxon -> frozenset of ancestor vertex ids (leaf included)."""
-        return {t: self.ancestors(v) for v, t in self.leaves}
-
 
 @dataclass(frozen=True)
 class AlternatingCycle:
@@ -392,13 +388,53 @@ def cluster(net: Network, v: int) -> frozenset:
     return frozenset(net._taxon_of[w] for w in net.descendants(v) if w in net._taxon_of)
 
 
+def _cluster_masks(net: Network) -> list:
+    """The cluster of every vertex as a taxon bitmask, bit i standing for
+    `net.taxa.taxa[i]`, indexed by vertex.
+
+    One pass upward from the leaves: a vertex is finished once all its
+    children are, and its mask is the union of theirs.
+    """
+    masks = [0] * net.num_vertices
+    for v, t in net.leaves:
+        masks[v] = 1 << net.taxa.index(t)
+    waiting = [len(kids) for kids in net._children]
+    ready = list(net.leaf_vertices)
+    while ready:
+        v = ready.pop()
+        for p in net._parents[v]:
+            masks[p] |= masks[v]
+            waiting[p] -= 1
+            if not waiting[p]:
+                ready.append(p)
+    return masks
+
+
+def _members(mask: int) -> list:
+    """Positions of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def shared_ancestry_graph(net: Network) -> UGraph:
-    """Graph on the taxa joining two leaves iff they have a common ancestor."""
-    anc = net.leaf_ancestor_sets()
+    """Graph on the taxa joining two leaves iff they have a common ancestor.
+
+    Every vertex lies below a root, so two taxa share an ancestor exactly
+    when some root's cluster holds both.
+    """
+    masks = _cluster_masks(net)
+    taxa = net.taxa.taxa
+    adj = [0] * len(taxa)
+    for r in net.roots:
+        for i in _members(masks[r]):
+            adj[i] |= masks[r]
     edges = [
-        (x, y)
-        for i, x in enumerate(net.taxa.taxa)
-        for y in net.taxa.taxa[i + 1:]
-        if anc[x] & anc[y]
+        (taxa[i], taxa[i + 1 + j])
+        for i in range(len(taxa))
+        for j in _members(adj[i] >> (i + 1))
     ]
     return UGraph(net.taxa, frozenset(edges))

@@ -37,6 +37,8 @@ from .graphs import (
 )
 from .networks import (
     Network,
+    _cluster_masks,
+    _members,
     cluster,
     from_digraph,
     is_arboreal,
@@ -321,22 +323,37 @@ class LabelledNetwork:
 
 def evaluate_map(ln: LabelledNetwork) -> SymbolicMap:
     """The map sending each pair of taxa to the label of its least common
-    ancestor, with the gap where no common ancestor exists."""
+    ancestor, with the gap where no common ancestor exists.
+
+    The underlying graph is a tree, so two leaves with a common ancestor
+    meet at the apex of the unique tree path between them, and that apex is
+    their least common ancestor.  The pairs whose apex is a branching vertex
+    v are exactly the pairs split between two children of v; the clusters
+    of two children are disjoint, since a shared taxon would close an
+    undirected cycle.  So one pass over the branching vertices writes each
+    label into the pairs crossing its child clusters, and every pair with a
+    common ancestor is written exactly once: the work follows the number of
+    pairs, plus one taxon-bitmask union per arc for the clusters.
+    """
     net = ln.net
     if not is_arboreal(net):
         raise NotArborealError("maps are read off arboreal networks only")
-    anc = net.leaf_ancestor_sets()
-    entries = []
-    for x, y in net.taxa.pairs():
-        common = anc[x] & anc[y]
-        if not common:
-            entries.append(None)
-            continue
-        minimal = [v for v in common if not any(c in common for c in net.children(v))]
-        assert len(minimal) == 1
-        # two distinct leaves diverge at their meeting vertex, so it branches
-        # and carries a label
-        entries.append(ln.label_of(minimal[0]))
+    masks = _cluster_masks(net)
+    n = len(net.taxa)
+    # pair (i, j), i < j, sits at row[i] + j in `combinations` order
+    row = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
+    entries = [None] * (n * (n - 1) // 2)
+    for v, label in ln.labels:
+        seen = []
+        for c in net.children(v):
+            below = _members(masks[c])
+            for i in seen:
+                for j in below:
+                    if i < j:
+                        entries[row[i] + j] = label
+                    else:
+                        entries[row[j] + i] = label
+            seen += below
     return SymbolicMap(net.taxa, tuple(entries), ln.symbol_alphabet())
 
 
@@ -385,14 +402,18 @@ def build_ultrametric_tree(d: SymbolicMap) -> LabelledNetwork:
     leaf_names = {}
     labels = {}
     counter = 0
-
-    def grow(group: tuple) -> int:
-        nonlocal counter
+    # (parent, group) pairs; fragments are pushed in reverse so that they
+    # pop in order, numbering the vertices in preorder
+    stack = [(None, d.taxa.sorted(d.taxa))]
+    while stack:
+        parent, group = stack.pop()
         node = counter
         counter += 1
+        if parent is not None:
+            arcs.append((parent, node))
         if len(group) == 1:
             leaf_names[node] = group[0]
-            return node
+            continue
         splitters = []
         for m in sorted({d.value(a, b) for a, b in combinations(group, 2)}):
             fragments = _fragments(d, group, m)
@@ -404,11 +425,8 @@ def build_ultrametric_tree(d: SymbolicMap) -> LabelledNetwork:
             raise AmbiguousSplitError(f"several symbols split {group}")
         m, fragments = splitters[0]
         labels[node] = m
-        for fragment in fragments:
-            arcs.append((node, grow(fragment)))
-        return node
+        stack.extend((node, fragment) for fragment in reversed(fragments))
 
-    grow(d.taxa.sorted(d.taxa))
     net = validate_network(arcs, leaf_names, num_vertices=counter, taxa=d.taxa)
     out = LabelledNetwork.build(net, labels)
     assert evaluate_map(out) == d
@@ -597,8 +615,9 @@ def is_discriminating(ln: LabelledNetwork) -> bool:
             verdict = False
             break
     if verdict and is_arboreal(net):
+        masks = _cluster_masks(net)
         for v in net.vertices():
-            assert (net.outdeg(v) >= 2) == (len(cluster(net, v)) >= 2)
+            assert (net.outdeg(v) >= 2) == (masks[v].bit_count() >= 2)
     return verdict
 
 

@@ -180,7 +180,9 @@ def test_brute_minimal_common_ancestors_on_the_crown(crown):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**6))
 def test_lca_matches_brute_force_on_trees(seed):
-    p = GenParams(leaf_range=(3, 9), root_range=(1, 3), seed=seed)
+    # each root beyond the first joins the rest through a hybrid, and two
+    # taxa that lie below different roots only have no common ancestor
+    p = GenParams(leaf_range=(2, 30), root_range=(1, 6), seed=seed)
     net = random_arboreal_network(p)
     lca = vertex_named(net)
     for (x, y), got in lca.items():
@@ -195,6 +197,18 @@ def test_shared_ancestry_edges(seven_taxa):
     assert g.has_edge("3", "6")
     assert not g.has_edge("1", "5")
     assert g.edge_count == 15  # 21 pairs minus the 6 without common ancestors
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_shared_ancestry_matches_pairwise_ancestor_sets(seed):
+    # the extra hybrid arcs close undirected cycles, so most draws are not
+    # arboreal
+    p = GenParams(leaf_range=(2, 20), root_range=(1, 5), hybrid_bias=0.3, seed=seed)
+    net = random_network(p)
+    anc = {t: net.ancestors(v) for v, t in net.leaves}
+    expected = {(x, y) for x, y in net.taxa.pairs() if anc[x] & anc[y]}
+    assert shared_ancestry_graph(net).edges == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,8 @@
 """Symbolic maps, their explainability conditions, and the normal form."""
 
+import sys
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,18 +326,47 @@ def test_canonical_form_matches_the_recursive_encoding(seed):
         assert _canonical_form(ln, anchor) == recursive_canonical_form(ln, anchor)
 
 
-def test_isomorphism_of_a_deep_caterpillar():
-    # one root, spine vertices 0..n-2, each with a leaf; the smallest taxon
-    # hangs at the far end of the spine
-    n = 2000
-    spine = n - 1
+def caterpillar(names, labels):
+    # one root, spine vertices 0..n-2; names[i] hangs off spine vertex i,
+    # and the last two names share the last spine vertex
+    spine = len(names) - 1
     arcs = [(i, i + 1) for i in range(spine - 1)]
     leaves = {}
     for i in range(spine):
         arcs.append((i, spine + i))
-        leaves[spine + i] = f"t{n - 1 - i:04d}"
+        leaves[spine + i] = names[i]
     arcs.append((spine - 1, 2 * spine))
-    leaves[2 * spine] = "t0000"
+    leaves[2 * spine] = names[spine]
     net = validate_network(arcs, leaves, num_vertices=2 * spine + 1)
-    ln = LabelledNetwork.build(net, {i: "AB"[i % 2] for i in range(spine)})
+    return LabelledNetwork.build(net, dict(enumerate(labels)))
+
+
+def test_isomorphism_of_a_deep_caterpillar():
+    # the smallest taxon hangs at the far end of the spine
+    n = 2000
+    ln = caterpillar([f"t{n - 1 - i:04d}" for i in range(n)], ["AB"[i % 2] for i in range(n - 1)])
     assert are_isomorphic(ln, ln)
+
+
+def test_evaluate_a_long_caterpillar_in_closed_form():
+    # the pair (t_i, t_j), i < j, meets at spine vertex i
+    n = 1000
+    labels = [f"s{i % 7}" for i in range(n - 1)]
+    d = evaluate_map(caterpillar([f"t{i:04d}" for i in range(n)], labels))
+    assert d.taxa.taxa == tuple(f"t{i:04d}" for i in range(n))
+    assert d.entries == tuple(labels[i] for i, _ in combinations(range(n), 2))
+
+
+def test_build_a_deep_caterpillar_tree_under_a_low_recursion_limit():
+    # alternating symbols down the spine, so each level splits off one taxon
+    n = 150
+    taxa = TaxonSet.of(f"t{i:03d}" for i in range(n))
+    d = SymbolicMap(taxa, tuple("AB"[i % 2] for i, _ in combinations(range(n), 2)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        tree = build_ultrametric_tree(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree.net.num_vertices == 2 * n - 1
+    assert evaluate_map(tree) == d
