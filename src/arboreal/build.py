@@ -15,7 +15,13 @@ from .cliques import (
     is_edge_clique_cover,
     maximal_cliques,
 )
-from .errors import DisconnectedGraphError, NoEdgesError, NotACoverError, NotArborealError
+from .errors import (
+    ConstructionMismatchError,
+    DisconnectedGraphError,
+    NoEdgesError,
+    NotACoverError,
+    NotArborealError,
+)
 from .graphs import UGraph, is_connected, is_ptolemaic
 from .networks import Network, from_digraph, is_arboreal, shared_ancestry_graph
 
@@ -33,7 +39,8 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     becomes that taxon's leaf.
 
     The roots are always cover members, and are exactly the cover iff the
-    cover is an antichain.
+    cover is an antichain.  The result's shared-ancestry graph must equal
+    `g`; `ConstructionMismatchError` reports a network that fails this.
     """
     if cover.over != g.taxa:
         raise NotACoverError("cover and graph must share the taxon set")
@@ -44,7 +51,9 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     hasse = cover_digraph(closure)
     members = list(closure.sets)
     arcs = [(("set", members[a]), ("set", members[b])) for a, b in hasse.arcs]
-    children = {i: [members[j] for j in hasse.children_of(i)] for i in range(len(members))}
+    children = [[] for _ in members]
+    for a, b in hasse.arcs:
+        children[a].append(members[b])
 
     singles = []
     for t in g.taxa:
@@ -99,15 +108,8 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     display.update({key: key[1] for key in singles})
     display.update({key: label(key[1]) + "'" for key in fresh})
     net = from_digraph(verts, arcs, leaf_names, taxa=g.taxa, display_names=display)
-
-    assert shared_ancestry_graph(net) == g
-    root_sets = set()
-    for r in net.roots:
-        assert r < len(members), "roots must be closure members"
-        root_sets.add(members[order[r]])
-    cover_sets = set(cover.as_sets())
-    assert root_sets <= cover_sets
-    assert (root_sets == cover_sets) == cover.is_antichain()
+    if shared_ancestry_graph(net) != g:
+        raise ConstructionMismatchError("the network's shared ancestry differs from the graph")
     return net
 
 
@@ -124,11 +126,7 @@ def arboreal_representation(g: UGraph) -> Optional[Network]:
         raise NoEdgesError("need at least one edge")
     if not is_ptolemaic(g):
         return None
-    cover = maximal_cliques(g)
-    net = build_network_from_cover(g, cover)
-    assert is_arboreal(net)
-    assert net.root_count() == len(cover)
-    return net
+    return build_network_from_cover(g, maximal_cliques(g))
 
 
 def contract_tree_arcs(net: Network) -> Network:
@@ -141,8 +139,7 @@ def contract_tree_arcs(net: Network) -> Network:
     leaf, has indegree 1 and its parent has outdegree >= 2 (an outdegree-1
     parent is a hybrid and never changes).  Each surviving vertex keeps its
     id order and hangs below the first survivor above each of its parents.
-    Leaf set, root count and the shared-ancestry graph are unchanged
-    (asserted).
+    Leaf set, root count and the shared-ancestry graph are unchanged.
     """
     if not is_arboreal(net):
         raise NotArborealError("contraction is defined on arboreal networks")
@@ -159,13 +156,9 @@ def contract_tree_arcs(net: Network) -> Network:
         return v
 
     order = [v for v in net.vertices() if v not in merged]
-    out = from_digraph(
+    return from_digraph(
         order,
         [(survivor(p), v) for v in order for p in net.parents(v)],
         dict(net.leaves),
         taxa=net.taxa,
     )
-    assert is_arboreal(out)
-    assert out.root_count() == net.root_count()
-    assert shared_ancestry_graph(out) == shared_ancestry_graph(net)
-    return out

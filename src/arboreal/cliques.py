@@ -48,13 +48,6 @@ class CliqueFamily:
     def as_sets(self) -> frozenset:
         return frozenset(self.sets)
 
-    def is_antichain(self) -> bool:
-        for i, a in enumerate(self.sets):
-            for b in self.sets[i + 1:]:
-                if a < b or b < a:
-                    return False
-        return True
-
     def __len__(self) -> int:
         return len(self.sets)
 
@@ -71,16 +64,7 @@ class CoverDigraph:
     proper subset of A with nothing from the family strictly between."""
 
     family: CliqueFamily
-    arcs: tuple = ()  # pairs of indices into family.sets
-
-    def nodes(self) -> tuple:
-        return self.family.sets
-
-    def children_of(self, index: int) -> list[int]:
-        return [b for a, b in self.arcs if a == index]
-
-    def arc_sets(self) -> list[tuple[frozenset, frozenset]]:
-        return [(self.family.sets[a], self.family.sets[b]) for a, b in self.arcs]
+    arcs: tuple = ()  # sorted pairs of indices into family.sets
 
 
 def _mask_to_set(mask: int, taxa: TaxonSet) -> frozenset:

@@ -8,6 +8,10 @@ class ArborealError(Exception):
 class UnknownTaxonError(ArborealError, KeyError):
     """A taxon name is not part of the taxon set in play."""
 
+    def __str__(self) -> str:
+        # KeyError would print the bare repr of the taxon
+        return f"unknown taxon {self.args[0]!r}"
+
 
 class UnknownVertexError(ArborealError, KeyError):
     """A vertex id is not part of the network in play."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 from typing import Mapping, Optional
 
-from .cliques import CliqueFamily, CoverDigraph
-from .errors import InputParseError
+from .cliques import CliqueFamily
+from .errors import InputParseError, UnknownTaxonError
 from .graphs import TaxonSet, UGraph
 from .networks import Network, validate_network
 from .symbolic import GAP_GLYPH, LabelledNetwork, SymbolicMap
@@ -30,7 +30,7 @@ def parse_graph(doc) -> UGraph:
     _need_keys(doc, {"taxa", "edges"}, "graph")
     try:
         return UGraph.build(doc["taxa"], [tuple(e) for e in doc["edges"]])
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, UnknownTaxonError) as err:
         raise InputParseError(f"bad graph document: {err}") from None
 
 
@@ -99,22 +99,12 @@ def parse_map(doc) -> SymbolicMap:
         )
     except InputParseError:
         raise
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, UnknownTaxonError) as err:
         raise InputParseError(f"bad map document: {err}") from None
 
 
 def serialize_family(family: CliqueFamily) -> list:
     return [list(family.member_sorted(s)) for s in family.sets]
-
-
-def parse_family(doc, over: Optional[TaxonSet] = None) -> CliqueFamily:
-    try:
-        sets = [frozenset(map(str, row)) for row in doc]
-        if over is None:
-            over = TaxonSet.of(sorted({t for s in sets for t in s}))
-        return CliqueFamily.build(over, sets)
-    except (ValueError, TypeError) as err:
-        raise InputParseError(f"bad family document: {err}") from None
 
 
 def to_json(doc) -> str:
@@ -240,14 +230,3 @@ def network_to_dot(net: Network, labels: Optional[Mapping] = None) -> str:
 
 def labelled_to_dot(ln: LabelledNetwork) -> str:
     return network_to_dot(ln.net, dict(ln.labels))
-
-
-def cover_digraph_to_dot(h: CoverDigraph) -> str:
-    """Vertices shown as concatenated member strings, Hasse arcs down."""
-    fam = h.family
-    lines = ["digraph {"]
-    for i, s in enumerate(fam.sets):
-        lines.append(f"  {i} [label={_dot_quote(''.join(fam.member_sorted(s)))}];")
-    for a, b in h.arcs:
-        lines.append(f"  {a} -> {b};")
-    return "\n".join(lines + ["}"]) + "\n"

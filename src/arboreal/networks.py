@@ -207,15 +207,18 @@ def validate_network(
     if any(u == v for u, v in arcs):
         raise InvalidNetworkError(errors.CYCLIC, "self-loop")
 
-    kids = [[] for _ in range(num_vertices)]
-    pars = [[] for _ in range(num_vertices)]
+    # Adjacency only for the mentioned vertices and vertex 0: any other
+    # declared vertex is isolated, which the connectivity test reports, so
+    # nothing is allocated per declared vertex before that test.
+    kids = {v: [] for v in mentioned | {0}}
+    pars = {v: [] for v in kids}
     for u, v in arcs:
         kids[u].append(v)
         pars[v].append(u)
 
     # acyclic (Kahn)
-    indeg = [len(p) for p in pars]
-    queue = deque(v for v in range(num_vertices) if indeg[v] == 0)
+    indeg = {v: len(p) for v, p in pars.items()}
+    queue = deque(v for v, d in indeg.items() if d == 0)
     visited = 0
     while queue:
         v = queue.popleft()
@@ -224,7 +227,7 @@ def validate_network(
             indeg[c] -= 1
             if indeg[c] == 0:
                 queue.append(c)
-    if visited != num_vertices:
+    if visited != len(kids):
         raise InvalidNetworkError(errors.CYCLIC, "the digraph contains a directed cycle")
 
     # connected
@@ -311,13 +314,11 @@ def is_arboreal(net: Network) -> bool:
     """True iff the underlying undirected graph is a tree.
 
     The underlying graph of a valid network is connected and simple, so the
-    tree test is an edge count.  The excess-indegree bookkeeping must agree:
-    the underlying cycles are exactly what pushes the hybrid surplus above
-    the root surplus.
+    tree test is an edge count.  Equivalently, the excess indegree `h_tilde`
+    equals the root surplus: the underlying cycles are exactly what pushes
+    the hybrid surplus above it.
     """
-    tree = len(net.arcs) == net.num_vertices - 1
-    assert tree == (h_tilde(net) == net.root_count() - 1)
-    return tree
+    return len(net.arcs) == net.num_vertices - 1
 
 
 def find_alternating_cycle(net: Network) -> Optional[AlternatingCycle]:

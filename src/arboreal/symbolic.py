@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Optional, Union
 
-from .build import arboreal_representation, contract_tree_arcs
+from .build import build_network_from_cover, contract_tree_arcs
 from .cliques import CliqueFamily, intersection_closure, maximal_cliques
 from .errors import (
     AmbiguousSplitError,
@@ -61,16 +61,16 @@ class SymbolicMap:
     taxa: TaxonSet
     entries: tuple
     symbols: tuple = field(default=None, compare=False)
-    _at: dict = field(init=False, repr=False, compare=False)
+    _row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.taxa) < 2:
+        n = len(self.taxa)
+        if n < 2:
             raise ValueError("a symbolic map needs at least two taxa")
         object.__setattr__(self, "entries", tuple(self.entries))
-        pairs = list(self.taxa.pairs())
-        if len(self.entries) != len(pairs):
+        if len(self.entries) != n * (n - 1) // 2:
             raise ValueError(
-                f"need {len(pairs)} values for {len(self.taxa)} taxa, got {len(self.entries)}"
+                f"need {n * (n - 1) // 2} values for {n} taxa, got {len(self.entries)}"
             )
         used = set()
         for val in self.entries:
@@ -90,7 +90,7 @@ class SymbolicMap:
             if not used <= set(alphabet):
                 raise ValueError("declared alphabet must cover every value in use")
             object.__setattr__(self, "symbols", alphabet)
-        object.__setattr__(self, "_at", {p: i for i, p in enumerate(pairs)})
+        object.__setattr__(self, "_row", _pair_rows(n))
 
     @classmethod
     def build(cls, taxa, values: Mapping, symbols=None) -> "SymbolicMap":
@@ -106,13 +106,25 @@ class SymbolicMap:
         return cls(ts, tuple(table.get(p) for p in ts.pairs()), symbols)
 
     def value(self, a: str, b: str):
-        return self.entries[self._at[self.taxa.pair(a, b)]]
+        i, j = self.taxa.index(a), self.taxa.index(b)
+        if i > j:
+            i, j = j, i
+        elif i == j:
+            raise ValueError(f"pair endpoints must differ, got {a!r} twice")
+        return self.entries[self._row[i] + j]
 
     def items(self):
         return zip(self.taxa.pairs(), self.entries)
 
     def gap_count(self) -> int:
         return sum(1 for v in self.entries if v is None)
+
+
+def _pair_rows(n: int) -> tuple:
+    """Offsets into the `combinations` order of n taxa: the pair of positions
+    (i, j), i < j, sits at `row[i] + j`, the closed form
+    i·(2n−i−1)/2 + j−i−1."""
+    return tuple(i * (2 * n - i - 1) // 2 - i - 1 for i in range(n))
 
 
 def graph_of_map(d: SymbolicMap) -> UGraph:
@@ -251,12 +263,16 @@ def check_arboreal_conditions(d: SymbolicMap) -> Optional[Violation]:
     almost-gap-free quadruple is consistent across its gap pair.  The checks
     run in that fixed order so the reported witness is deterministic.
     """
+    return _first_violation(d, graph_of_map(d))
+
+
+def _first_violation(d: SymbolicMap, g: UGraph) -> Optional[Violation]:
+    # the checks of `check_arboreal_conditions` on the support graph g of d
 
     def attest(v: Violation) -> Violation:
         assert check_violation(d, v)
         return v
 
-    g = graph_of_map(d)
     if not is_connected(g):
         comps = connected_components(g)
         return attest(
@@ -340,8 +356,7 @@ def evaluate_map(ln: LabelledNetwork) -> SymbolicMap:
         raise NotArborealError("maps are read off arboreal networks only")
     masks = _cluster_masks(net)
     n = len(net.taxa)
-    # pair (i, j), i < j, sits at row[i] + j in `combinations` order
-    row = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
+    row = _pair_rows(n)
     entries = [None] * (n * (n - 1) // 2)
     for v, label in ln.labels:
         seen = []
@@ -361,7 +376,7 @@ def evaluate_map(ln: LabelledNetwork) -> SymbolicMap:
 # Constructing explanations.
 
 
-def _fragments(d: SymbolicMap, group: tuple, m: str) -> list:
+def _fragments(value, group: tuple, m: str) -> list:
     # connected components of the pairs valued anything but m, each keeping
     # the group order, listed by first member
     index = {t: i for i, t in enumerate(group)}
@@ -374,7 +389,7 @@ def _fragments(d: SymbolicMap, group: tuple, m: str) -> list:
         return i
 
     for a, b in combinations(group, 2):
-        if d.value(a, b) != m:
+        if value(a, b) != m:
             ra, rb = find(index[a]), find(index[b])
             if ra != rb:
                 root[rb] = ra
@@ -382,6 +397,46 @@ def _fragments(d: SymbolicMap, group: tuple, m: str) -> list:
     for t in group:
         comps.setdefault(find(index[t]), []).append(t)
     return sorted((tuple(c) for c in comps.values()), key=lambda c: index[c[0]])
+
+
+def _split_tree(value, group: tuple) -> tuple:
+    """The tree that `build_ultrametric_tree` grows, over the members of
+    `group` (two or more) and the symmetric `value` on their pairs, as
+    (arcs, labels, members): vertex 0 is the root and the rest follow in
+    preorder, `labels` maps each branching vertex to its symbol and
+    `members` each leaf to its member of `group`."""
+    arcs = []
+    members = {}
+    labels = {}
+    counter = 0
+    # (parent, group) pairs; fragments are pushed in reverse so that they
+    # pop in order, numbering the vertices in preorder
+    stack = [(None, group)]
+    while stack:
+        parent, group = stack.pop()
+        node = counter
+        counter += 1
+        if parent is not None:
+            arcs.append((parent, node))
+        if len(group) == 1:
+            members[node] = group[0]
+            continue
+        symbols = {value(a, b) for a, b in combinations(group, 2)}
+        if None in symbols:
+            raise NotUltrametricError("trees explain gap-free maps only")
+        splitters = []
+        for m in sorted(symbols):
+            fragments = _fragments(value, group, m)
+            if len(fragments) >= 2:
+                splitters.append((m, fragments))
+        if not splitters:
+            raise NotUltrametricError(f"no symbol splits {group}")
+        if len(splitters) > 1:
+            raise AmbiguousSplitError(f"several symbols split {group}")
+        m, fragments = splitters[0]
+        labels[node] = m
+        stack.extend((node, fragment) for fragment in reversed(fragments))
+    return arcs, labels, members
 
 
 def build_ultrametric_tree(d: SymbolicMap) -> LabelledNetwork:
@@ -395,42 +450,9 @@ def build_ultrametric_tree(d: SymbolicMap) -> LabelledNetwork:
     fragments of one symbol keep the group connected for any other), so the
     ambiguity error is a guard, never expected.
     """
-    if any(v is None for v in d.entries):
-        raise NotUltrametricError("trees explain gap-free maps only")
-
-    arcs = []
-    leaf_names = {}
-    labels = {}
-    counter = 0
-    # (parent, group) pairs; fragments are pushed in reverse so that they
-    # pop in order, numbering the vertices in preorder
-    stack = [(None, d.taxa.sorted(d.taxa))]
-    while stack:
-        parent, group = stack.pop()
-        node = counter
-        counter += 1
-        if parent is not None:
-            arcs.append((parent, node))
-        if len(group) == 1:
-            leaf_names[node] = group[0]
-            continue
-        splitters = []
-        for m in sorted({d.value(a, b) for a, b in combinations(group, 2)}):
-            fragments = _fragments(d, group, m)
-            if len(fragments) >= 2:
-                splitters.append((m, fragments))
-        if not splitters:
-            raise NotUltrametricError(f"no symbol splits {group}")
-        if len(splitters) > 1:
-            raise AmbiguousSplitError(f"several symbols split {group}")
-        m, fragments = splitters[0]
-        labels[node] = m
-        stack.extend((node, fragment) for fragment in reversed(fragments))
-
-    net = validate_network(arcs, leaf_names, num_vertices=counter, taxa=d.taxa)
-    out = LabelledNetwork.build(net, labels)
-    assert evaluate_map(out) == d
-    return out
+    arcs, labels, members = _split_tree(d.value, d.taxa.taxa)
+    net = validate_network(arcs, members, num_vertices=len(arcs) + 1, taxa=d.taxa)
+    return LabelledNetwork.build(net, labels)
 
 
 def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
@@ -443,67 +465,47 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
     value on two children is the value on any pair of leaves below them,
     which is gap-free and tree-explainable, so every branching vertex can be
     replaced by the tree explaining its local map.  The local labels
-    assemble into the global labelling.
+    assemble into the global labelling, which must reproduce `d`.
     """
-    violation = check_arboreal_conditions(d)
+    g = graph_of_map(d)
+    violation = _first_violation(d, g)
     if violation is not None:
         return violation
 
-    g = graph_of_map(d)
-    base = arboreal_representation(g)
-    assert base is not None  # ptolemaic was checked a moment ago
-    nhat = contract_tree_arcs(base)
-    check_reps = len(d.taxa) <= 8
+    # g is connected and ptolemaic, so its maximal cliques hang an arboreal
+    # network with one root each
+    nhat = contract_tree_arcs(build_network_from_cover(g, maximal_cliques(g)))
+    # the smallest taxon below each vertex stands for its cluster
+    rep = [(m & -m).bit_length() - 1 for m in _cluster_masks(nhat)]
+    row = d._row
 
-    arcs = []
+    def local_value(wa: int, wb: int):
+        i, j = rep[wa], rep[wb]
+        return d.entries[row[i] + j] if i < j else d.entries[row[j] + i]
+
+    # the vertices of nhat keep their ids; each local tree's root is its
+    # branching vertex, its leaves the children, and its inner vertices
+    # take fresh ids in turn
+    arcs = [(u, v) for u, v in nhat.arcs if nhat.outdeg(u) == 1]
     labels = {}
-    extra = []
-    for u, v in nhat.arcs:
-        if nhat.outdeg(u) == 1:
-            arcs.append((("b", u), ("b", v)))
-
+    fresh = nhat.num_vertices
     for v in nhat.vertices():
-        if nhat.outdeg(v) < 2:
+        kids = nhat.children(v)
+        if len(kids) < 2:
             continue
-        kids = sorted(nhat.children(v))
-        blocks = {w: d.taxa.sorted(cluster(nhat, w)) for w in kids}
-        if check_reps:
-            for wa, wb in combinations(kids, 2):
-                vals = {d.value(x, y) for x in blocks[wa] for y in blocks[wb]}
-                assert len(vals) == 1, "local value must not depend on representatives"
-        local_taxa = TaxonSet.of(str(w) for w in kids)
-        entries = []
-        for wa, wb in combinations(kids, 2):
-            val = d.value(blocks[wa][0], blocks[wb][0])
-            # leaves below siblings share an ancestor, so the pair is an
-            # edge of the support graph
-            assert val is not None
-            entries.append(val)
-        tree = build_ultrametric_tree(SymbolicMap(local_taxa, tuple(entries)))
+        tree_arcs, tree_labels, members = _split_tree(local_value, kids)
+        ids = [v]
+        for node in range(1, len(tree_arcs) + 1):
+            if node in members:
+                ids.append(members[node])
+            else:
+                ids.append(fresh)
+                fresh += 1
+        arcs += [(ids[p], ids[c]) for p, c in tree_arcs]
+        labels.update((ids[node], sym) for node, sym in tree_labels.items())
 
-        tnet = tree.net
-        troot = tnet.roots[0]
-
-        def key_of(node: int, at=v, t=tnet, r=troot):
-            if t.is_leaf(node):
-                return ("b", int(t.taxon_of(node)))
-            if node == r:
-                return ("b", at)
-            return ("t", at, node)
-
-        for node in tnet.vertices():
-            if not tnet.is_leaf(node) and node != troot:
-                extra.append(("t", v, node))
-        for p, c in tnet.arcs:
-            arcs.append((key_of(p), key_of(c)))
-        for node, sym in tree.labels:
-            labels[key_of(node)] = sym
-
-    vertex_order = [("b", v) for v in nhat.vertices()] + extra
-    leaf_names = {("b", lv): nhat.taxon_of(lv) for lv in nhat.leaf_vertices}
-    net = from_digraph(vertex_order, arcs, leaf_names, taxa=d.taxa)
-    ids = {key: i for i, key in enumerate(vertex_order)}
-    out = LabelledNetwork.build(net, {ids[key]: sym for key, sym in labels.items()})
+    net = validate_network(arcs, dict(nhat.leaves), num_vertices=fresh, taxa=d.taxa)
+    out = LabelledNetwork.build(net, labels)
     if evaluate_map(out) != d:
         raise ConstructionMismatchError("assembled network fails to reproduce the map")
     return out
@@ -598,27 +600,20 @@ def is_discriminating(ln: LabelledNetwork) -> bool:
     """No internal arc out of an outdegree-1 vertex, and no internal arc whose
     head has indegree 1 and repeats the tail's label.
 
-    A true verdict on an arboreal instance is cross-checked against the
-    cluster criterion: the branching vertices are exactly those whose cluster
-    holds two or more taxa.
+    On an arboreal network a true verdict implies the cluster criterion: the
+    branching vertices are exactly those whose cluster holds two or more
+    taxa.
     """
     net = ln.net
-    verdict = True
     for u, v in net.arcs:
         if net.is_leaf(v):
             continue
         if net.outdeg(u) == 1:
-            verdict = False
-            break
+            return False
         # the head is internal with indegree 1, hence branches and is labelled
         if net.indeg(v) == 1 and ln.label_of(u) == ln.label_of(v):
-            verdict = False
-            break
-    if verdict and is_arboreal(net):
-        masks = _cluster_masks(net)
-        for v in net.vertices():
-            assert (net.outdeg(v) >= 2) == (masks[v].bit_count() >= 2)
-    return verdict
+            return False
+    return True
 
 
 def _fold_chain(kids: dict, pars: dict, labels: dict, u: int, v: int):
@@ -658,8 +653,9 @@ def make_discriminating(ln: LabelledNetwork) -> LabelledNetwork:
     internal arc onto an indegree-1 vertex when the labels agree.  Arcs are
     scanned in canonical order with rule 1 exhausted before rule 2 is tried,
     and every fold merges two adjacent vertices of the underlying tree, so no
-    parallel arcs can arise.  The induced map is unchanged (asserted), and
-    the result is a fixpoint of both rules.
+    parallel arcs can arise.  The induced map is unchanged and the result is
+    a fixpoint of both rules; both are checked on the result, and a failure
+    raises `ConstructionMismatchError`.
     """
     net = ln.net
     if not is_arboreal(net):
@@ -696,8 +692,10 @@ def make_discriminating(ln: LabelledNetwork) -> LabelledNetwork:
     new = from_digraph(order, arcs, leaf_name, taxa=net.taxa)
     ids = {v: i for i, v in enumerate(order)}
     out = LabelledNetwork.build(new, {ids[v]: s for v, s in labels.items()})
-    assert is_discriminating(out)
-    assert evaluate_map(out) == before
+    if not is_discriminating(out):
+        raise ConstructionMismatchError("the collapsed network is not discriminating")
+    if evaluate_map(out) != before:
+        raise ConstructionMismatchError("the collapsed network changed the map")
     return out
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from arboreal import (
     CliqueFamily,
+    ConstructionMismatchError,
     DisconnectedGraphError,
     InvalidNetworkError,
     NoEdgesError,
@@ -19,6 +20,7 @@ from arboreal import (
     maximal_cliques,
     shared_ancestry_graph,
 )
+from arboreal import build
 from arboreal.networks import from_digraph
 from arboreal.oracle import GenParams, random_arboreal_network, random_connected_graph
 
@@ -89,6 +91,18 @@ def test_cover_missing_a_taxon_cannot_connect():
     loner = UGraph.build("abc", [("a", "b")])
     with pytest.raises(InvalidNetworkError):
         build_network_from_cover(loner, CliqueFamily.build(loner.taxa, [set("ab")]))
+
+
+def test_cover_network_certifies_its_shared_ancestry(monkeypatch):
+    def misnamed(order, arcs, leaf_names, **kw):
+        # hang every taxon where the next one belongs
+        names = list(leaf_names.values())
+        return from_digraph(order, arcs, dict(zip(leaf_names, names[1:] + names[:1])), **kw)
+
+    monkeypatch.setattr(build, "from_digraph", misnamed)
+    path = UGraph.build("abc", [("a", "b"), ("b", "c")])
+    with pytest.raises(ConstructionMismatchError):
+        build_network_from_cover(path, maximal_cliques(path))
 
 
 def test_arboreal_representation_exists_exactly_for_ptolemaic(two_quads, c4, gem):

@@ -171,6 +171,18 @@ def test_selftest_rejects_a_bad_budget(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("verb, what, doc", [
+    ("check", "map", {"taxa": ["a", "b"], "values": [["a", "z", "X"]]}),
+    ("ptolemaic", "graph", {"taxa": ["a", "b", "c"], "edges": [["a", "z"]]}),
+])
+def test_an_unknown_taxon_is_named(capsys, tmp_path, verb, what, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {what} document: unknown taxon 'z'\n"
+
+
 def test_missing_input_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--input", str(tmp_path / "nope.json"))
     assert code == 2

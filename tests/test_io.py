@@ -7,20 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arboreal import InputParseError, maximal_cliques
+from arboreal import InputParseError
 from arboreal.io import (
-    cover_digraph_to_dot,
     graph_to_dot,
     labelled_to_dot,
     load_json,
     network_to_dot,
-    parse_family,
     parse_graph,
     parse_labelled,
     parse_map,
     parse_network,
     parse_triangular,
-    serialize_family,
     serialize_graph,
     serialize_labelled,
     serialize_map,
@@ -28,7 +25,6 @@ from arboreal.io import (
     serialize_triangular,
     to_json,
 )
-from arboreal.cliques import cover_digraph, intersection_closure
 from arboreal.oracle import (
     GenParams,
     random_arboreal_network,
@@ -71,13 +67,6 @@ def test_map_round_trip(seven_map):
     assert parse_map(doc) == seven_map
     # gaps ride along as nulls
     assert any(row[2] is None for row in doc["values"])
-
-
-def test_family_round_trip(two_quads):
-    fam = maximal_cliques(two_quads)
-    doc = serialize_family(fam)
-    assert doc == [["1", "2", "3", "4"], ["3", "4", "5", "6"]]
-    assert parse_family(doc, over=two_quads.taxa).as_sets() == fam.as_sets()
 
 
 def test_json_text_is_stable(seven_map):
@@ -167,10 +156,3 @@ def test_network_dot_marks_the_special_vertices(seven_taxa):
     assert dot.count("shape=diamond") == 1
     labelled = labelled_to_dot(seven_taxa)
     assert " : W" in labelled and " : B" in labelled
-
-
-def test_cover_digraph_dot(two_quads):
-    h = cover_digraph(intersection_closure(maximal_cliques(two_quads)))
-    dot = cover_digraph_to_dot(h)
-    assert "1234" in dot and "34" in dot
-    assert "->" in dot

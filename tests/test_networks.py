@@ -1,5 +1,7 @@
 """Network validation, arboreality, clusters and ancestry."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,21 @@ def test_each_shape_rule_reports_its_kind():
     ) == INDEG1_OUTDEG1
     assert invalid_kind(CHERRY_ARCS, {1: "a"}) == LEAF_SET_MISMATCH
     assert invalid_kind(CHERRY_ARCS, {1: "a", 2: "a"}) == LEAF_SET_MISMATCH
+
+
+def test_declared_vertices_cost_nothing_before_connectivity():
+    # a declared vertex that no arc or leaf mentions is isolated, which is
+    # reported before anything is allocated per declared vertex
+    tracemalloc.start()
+    try:
+        kind = invalid_kind(CHERRY_ARCS, CHERRY_LEAVES, num_vertices=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kind == DISCONNECTED
+    assert peak < 2**20
+    # the rule order holds: a cycle is reported first
+    assert invalid_kind([(0, 1), (1, 2), (2, 0)], {}, num_vertices=10**6) == CYCLIC
 
 
 def test_validate_rejects_garbage_ids():

@@ -1,14 +1,17 @@
 """Symbolic maps, their explainability conditions, and the normal form."""
 
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arboreal
 from arboreal import (
     GAP_GLYPH,
+    ConstructionMismatchError,
     LabelledNetwork,
     NotArborealError,
     NotUltrametricError,
@@ -21,6 +24,7 @@ from arboreal import (
     check_arboreal_conditions,
     check_violation,
     clique_modules,
+    cluster,
     evaluate_map,
     explain,
     find_a4_violation,
@@ -33,6 +37,7 @@ from arboreal import (
     strong_clique_modules,
     verify_phi_bijection,
 )
+from arboreal import symbolic
 from arboreal.networks import validate_network
 from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI, _canonical_form
 from arboreal.oracle import GenParams, random_labelled_network, random_uncollapse
@@ -199,6 +204,48 @@ def test_explain_round_trips_the_fixture(seven_taxa, seven_map):
     assert are_isomorphic(out, seven_taxa)
 
 
+def count_calls(monkeypatch, names):
+    # wrap each named function in every arboreal namespace that binds it,
+    # since a module that imports a function calls it through its own globals
+    counts = Counter()
+    for name in names:
+        original = getattr(arboreal, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "arboreal" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_one_explain_runs_each_stage_once(seven_map, monkeypatch):
+    counts = count_calls(monkeypatch, [
+        "graph_of_map", "is_ptolemaic", "shared_ancestry_graph", "evaluate_map",
+        "validate_network", "build_ultrametric_tree", "cluster",
+    ])
+    assert isinstance(explain(seven_map), LabelledNetwork)
+    # one network per construction stage: cover network, contraction, assembly
+    assert counts == {
+        "graph_of_map": 1, "is_ptolemaic": 1, "shared_ancestry_graph": 1,
+        "evaluate_map": 1, "validate_network": 3,
+    }
+
+
+def test_explain_certifies_the_assembled_network(seven_map, monkeypatch):
+    split = symbolic._split_tree
+
+    def mislabelled(value, group):
+        arcs, labels, members = split(value, group)
+        return arcs, {node: "?" for node in labels}, members
+
+    monkeypatch.setattr(symbolic, "_split_tree", mislabelled)
+    with pytest.raises(ConstructionMismatchError):
+        explain(seven_map)
+
+
 def test_explain_returns_the_violation_for_bad_maps():
     v = explain(pi_violating_map())
     assert isinstance(v, Violation) and v.kind == PI
@@ -231,6 +278,37 @@ def test_normal_form_is_idempotent(seven_taxa):
     nf = make_discriminating(seven_taxa)
     assert are_isomorphic(nf, seven_taxa)
     assert are_isomorphic(make_discriminating(nf), nf)
+
+
+def cherry_under_equal_labels():
+    # root 0 (A) over leaf x and vertex 1 (A) over leaves y and z: rule 2
+    # folds 1 into 0
+    net = validate_network([(0, 1), (0, 2), (1, 3), (1, 4)], {2: "x", 3: "y", 4: "z"})
+    return LabelledNetwork.build(net, {0: "A", 1: "A"})
+
+
+def test_normal_form_certifies_the_map(monkeypatch):
+    def relabel(kids, pars, labels, u, v):
+        labels[v] += "'"  # a wrong fold: the arc stays and the map changes
+
+    monkeypatch.setattr(symbolic, "_fold_equal", relabel)
+    with pytest.raises(ConstructionMismatchError):
+        make_discriminating(cherry_under_equal_labels())
+
+
+def test_normal_form_certifies_the_fixpoint(monkeypatch):
+    monkeypatch.setattr(symbolic, "is_discriminating", lambda ln: False)
+    with pytest.raises(ConstructionMismatchError):
+        make_discriminating(cherry_under_equal_labels())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_discriminating_vertices_branch_iff_their_cluster_is_plural(seed):
+    p = GenParams(leaf_range=(2, 12), root_range=(1, 4), symbol_count=1 + seed % 3, seed=seed)
+    net = make_discriminating(random_labelled_network(p)).net
+    for v in net.vertices():
+        assert (net.outdeg(v) >= 2) == (len(cluster(net, v)) >= 2)
 
 
 def test_phi_counts_vertices_against_module_chains(seven_taxa):
