@@ -23,7 +23,7 @@ from .errors import (
     NotArborealError,
 )
 from .graphs import UGraph, is_connected, is_ptolemaic
-from .networks import Network, from_digraph, is_arboreal, shared_ancestry_graph
+from .networks import Network, _contract_arcs, from_digraph, is_arboreal, shared_ancestry_graph
 
 
 def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
@@ -51,39 +51,35 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     hasse = cover_digraph(closure)
     members = list(closure.sets)
     arcs = [(("set", members[a]), ("set", members[b])) for a, b in hasse.arcs]
-    children = [[] for _ in members]
-    for a, b in hasse.arcs:
-        children[a].append(members[b])
+    # The closure is closed under intersection, so the members holding a
+    # taxon have a least one, which is also the first of them in canonical
+    # (size-first) order.
+    host: dict = {}
+    for a in members:
+        for t in a:
+            host.setdefault(t, a)
 
     singles = []
     for t in g.taxa:
-        if frozenset([t]) in closure:
-            continue
+        if t in host and len(host[t]) == 1:
+            continue  # t is itself a member
         singles.append(("single", t))
-        hosts = [
-            a
-            for i, a in enumerate(members)
-            if t in a and not any(t in c for c in children[i])
-        ]
-        if not hosts:
-            # isolated taxon; leave the leaf dangling so validation reports
-            # the disconnection rather than dying here
-            continue
-        # intersections are closed pairwise, so the minimal member holding
-        # a taxon is unique
-        assert len(hosts) == 1
-        arcs.append((("set", hosts[0]), ("single", t)))
+        if t in host:
+            arcs.append((("set", host[t]), ("single", t)))
+        # else t is isolated; its leaf dangles so that validation reports
+        # the disconnection rather than dying here
 
     outdeg: dict = {}
     indeg: dict = {}
     for u, v in arcs:
         outdeg[u] = outdeg.get(u, 0) + 1
         indeg[v] = indeg.get(v, 0) + 1
+    # a member of two or more taxa has a child (a smaller member or a taxon
+    # it hosts), so only a singleton member can be a sink
     fresh = []
     for a in members:
         key = ("set", a)
         if outdeg.get(key, 0) == 0 and indeg.get(key, 0) >= 2:
-            assert len(a) == 1
             fresh.append(("fresh", a))
             arcs.append((key, ("fresh", a)))
 
@@ -134,31 +130,20 @@ def contract_tree_arcs(net: Network) -> Network:
 
     Contracting an arc (u, v) where u has outdegree >= 2 and v is a non-leaf
     vertex of indegree 1 merges v into u.  Indegrees never change under such
-    merges, and only a vertex of outdegree >= 2 gains children, so the
-    fixpoint is reached in one pass: v is merged exactly when it is not a
-    leaf, has indegree 1 and its parent has outdegree >= 2 (an outdegree-1
-    parent is a hybrid and never changes).  Each surviving vertex keeps its
-    id order and hangs below the first survivor above each of its parents.
-    Leaf set, root count and the shared-ancestry graph are unchanged.
+    merges, and only a vertex of outdegree >= 2 gains children, so no merge
+    makes or unmakes another contractible arc (an outdegree-1 parent is a
+    hybrid and never changes).  The fixpoint is therefore one quotient by
+    the arcs contractible in the input.  Each folded head has indegree 1, so
+    every merged class has exactly one member that no folded arc enters, its
+    top, which names the class; the survivors keep their id order.  Leaf
+    set, root count and the shared-ancestry graph are unchanged.
     """
     if not is_arboreal(net):
         raise NotArborealError("contraction is defined on arboreal networks")
-
-    merged = {
-        v
-        for v in net.vertices()
-        if not net.is_leaf(v) and net.indeg(v) == 1 and net.outdeg(net.parents(v)[0]) >= 2
-    }
-
-    def survivor(v: int) -> int:
-        while v in merged:
-            (v,) = net.parents(v)
-        return v
-
-    order = [v for v in net.vertices() if v not in merged]
-    return from_digraph(
-        order,
-        [(survivor(p), v) for v in order for p in net.parents(v)],
-        dict(net.leaves),
-        taxa=net.taxa,
-    )
+    fold = [
+        (u, v)
+        for u, v in net.arcs
+        if not net.is_leaf(v) and net.indeg(v) == 1 and net.outdeg(u) >= 2
+    ]
+    order, arcs, _ = _contract_arcs(net, fold)
+    return from_digraph(order, arcs, dict(net.leaves), taxa=net.taxa)

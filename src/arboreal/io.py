@@ -29,7 +29,7 @@ def serialize_graph(g: UGraph) -> dict:
 def parse_graph(doc) -> UGraph:
     _need_keys(doc, {"taxa", "edges"}, "graph")
     try:
-        return UGraph.build(doc["taxa"], [tuple(e) for e in doc["edges"]])
+        return UGraph.build(_taxa(doc), [tuple(e) for e in doc["edges"]])
     except (ValueError, TypeError, UnknownTaxonError) as err:
         raise InputParseError(f"bad graph document: {err}") from None
 
@@ -49,13 +49,18 @@ def parse_network(doc) -> Network:
     _need_keys(doc, {"vertices", "arcs", "leaves"}, "network")
     try:
         leaves = {int(v): str(t) for v, t in doc["leaves"].items()}
-        names = doc.get("names")
-        return validate_network(
-            [tuple(a) for a in doc["arcs"]],
-            leaves,
-            num_vertices=int(doc["vertices"]),
-            vertex_names=names,
-        )
+        arcs = [tuple(a) for a in doc["arcs"]]
+        vertices, names = doc["vertices"], doc.get("names")
+        # JSON integers only: int() would round 1.7 down and read true as 1
+        if type(vertices) is not int or any(type(v) is not int for a in arcs for v in a):
+            raise ValueError("vertices and arc endpoints must be integers")
+        if names is not None and (
+            not isinstance(names, list)
+            or len(names) != vertices
+            or not all(isinstance(name, str) for name in names)
+        ):
+            raise ValueError("names must hold one string per vertex")
+        return validate_network(arcs, leaves, num_vertices=vertices, vertex_names=names)
     except (ValueError, TypeError, AttributeError) as err:
         raise InputParseError(f"bad network document: {err}") from None
 
@@ -94,9 +99,7 @@ def parse_map(doc) -> SymbolicMap:
         for row in doc["values"]:
             a, b, value = row
             values[(a, b)] = value
-        return SymbolicMap.build(
-            TaxonSet.of(doc["taxa"]), values, symbols=doc.get("symbols")
-        )
+        return SymbolicMap.build(TaxonSet.of(_taxa(doc)), values, symbols=doc.get("symbols"))
     except InputParseError:
         raise
     except (ValueError, TypeError, UnknownTaxonError) as err:
@@ -118,6 +121,13 @@ def load_json(text: str):
         raise InputParseError(
             f"line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+
+
+def _taxa(doc) -> list:
+    # a string would pass for the list of its characters
+    if not isinstance(doc["taxa"], list):
+        raise ValueError("taxa must be a list")
+    return doc["taxa"]
 
 
 def _need_keys(doc, keys: set, what: str):

@@ -384,6 +384,37 @@ def find_alternating_cycle(net: Network) -> Optional[AlternatingCycle]:
     return witness
 
 
+def _contract_arcs(net: Network, fold: Iterable[tuple]) -> tuple:
+    """The quotient of `net` by the arcs in `fold`, as `(order, arcs, rep)`.
+
+    A union-find over the folded arcs merges their endpoints into classes.
+    Each class is named by its largest member that no folded arc enters,
+    `rep[v]` is the name of `v`'s class, `order` lists the names by id, and
+    `arcs` holds the arcs between classes, named by their ends' classes.
+    On an arboreal network a class spans a subtree of the underlying tree,
+    so no arc outside `fold` joins two members of one class.
+    """
+    up = list(net.vertices())
+
+    def find(v: int) -> int:
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    entered = set()
+    for u, v in fold:
+        entered.add(v)
+        up[find(v)] = find(u)
+    name = {}
+    for v in net.vertices():
+        if v not in entered:
+            name[find(v)] = v  # ids ascend, so the largest top is kept
+    rep = [name[find(v)] for v in net.vertices()]
+    arcs = [(rep[u], rep[v]) for u, v in net.arcs if rep[u] != rep[v]]
+    return sorted(name.values()), arcs, rep
+
+
 def cluster(net: Network, v: int) -> frozenset:
     """Taxa of the leaves reachable from `v`."""
     return frozenset(net._taxon_of[w] for w in net.descendants(v) if w in net._taxon_of)

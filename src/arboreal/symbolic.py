@@ -38,6 +38,7 @@ from .graphs import (
 from .networks import (
     Network,
     _cluster_masks,
+    _contract_arcs,
     _members,
     cluster,
     from_digraph,
@@ -268,29 +269,22 @@ def check_arboreal_conditions(d: SymbolicMap) -> Optional[Violation]:
 
 def _first_violation(d: SymbolicMap, g: UGraph) -> Optional[Violation]:
     # the checks of `check_arboreal_conditions` on the support graph g of d
-
-    def attest(v: Violation) -> Violation:
-        assert check_violation(d, v)
-        return v
-
     if not is_connected(g):
         comps = connected_components(g)
-        return attest(
-            Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components")
-        )
+        return Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components")
     witness = ptolemaic_witness(g)
     if witness is not None:
         kind, vertices = witness
-        return attest(Violation(NOT_PTOLEMAIC, vertices, _PTOLEMAIC_DETAIL[kind]))
+        return Violation(NOT_PTOLEMAIC, vertices, _PTOLEMAIC_DETAIL[kind])
     triple = find_delta_violation(d)
     if triple is not None:
-        return attest(Violation(DELTA, triple, "three distinct symbols on one triple"))
+        return Violation(DELTA, triple, "three distinct symbols on one triple")
     quad = find_pi_violation(d)
     if quad is not None:
-        return attest(Violation(PI, quad, "two symbols crossing on a quadruple"))
+        return Violation(PI, quad, "two symbols crossing on a quadruple")
     quad = find_a4_violation(d)
     if quad is not None:
-        return attest(Violation(A4, quad, "gap pair with disagreeing co-neighbors"))
+        return Violation(A4, quad, "gap pair with disagreeing co-neighbors")
     return None
 
 
@@ -596,6 +590,18 @@ def strong_clique_modules(d: SymbolicMap) -> CliqueFamily:
 # The discriminating normal form.
 
 
+def _collapsible(ln: LabelledNetwork, u: int, v: int) -> bool:
+    # the arc (u, v) is internal and out of an outdegree-1 vertex (rule 1),
+    # or onto an indegree-1 vertex repeating the tail's label (rule 2); the
+    # head is then internal with indegree 1, hence branches and is labelled
+    net = ln.net
+    if net.is_leaf(v):
+        return False
+    if net.outdeg(u) == 1:
+        return True
+    return net.indeg(v) == 1 and ln.label_of(u) == ln.label_of(v)
+
+
 def is_discriminating(ln: LabelledNetwork) -> bool:
     """No internal arc out of an outdegree-1 vertex, and no internal arc whose
     head has indegree 1 and repeats the tail's label.
@@ -604,94 +610,43 @@ def is_discriminating(ln: LabelledNetwork) -> bool:
     branching vertices are exactly those whose cluster holds two or more
     taxa.
     """
-    net = ln.net
-    for u, v in net.arcs:
-        if net.is_leaf(v):
-            continue
-        if net.outdeg(u) == 1:
-            return False
-        # the head is internal with indegree 1, hence branches and is labelled
-        if net.indeg(v) == 1 and ln.label_of(u) == ln.label_of(v):
-            return False
-    return True
-
-
-def _fold_chain(kids: dict, pars: dict, labels: dict, u: int, v: int):
-    # u has outdegree 1 onto internal v; merge v into u.  u keeps its own
-    # parents and takes v's children and v's other parents.
-    assert kids[u] == [v]
-    for p in pars[v]:
-        if p == u:
-            continue
-        assert p not in pars[u]  # a shared parent would close an undirected cycle
-        kids[p][kids[p].index(v)] = u
-        pars[u].append(p)
-    kids[u] = kids[v]
-    for c in kids[v]:
-        pars[c][pars[c].index(v)] = u
-    if v in labels:
-        labels[u] = labels.pop(v)
-    del kids[v], pars[v]
-
-
-def _fold_equal(kids: dict, pars: dict, labels: dict, u: int, v: int):
-    # v's only parent is u and the labels agree; u absorbs v's children
-    assert pars[v] == [u] and labels[u] == labels[v]
-    assert not set(kids[u]) & set(kids[v])
-    kids[u].remove(v)
-    kids[u] += kids[v]
-    for c in kids[v]:
-        pars[c][pars[c].index(v)] = u
-    del labels[v]
-    del kids[v], pars[v]
+    return not any(_collapsible(ln, u, v) for u, v in ln.net.arcs)
 
 
 def make_discriminating(ln: LabelledNetwork) -> LabelledNetwork:
     """Collapse arcs until the network is discriminating, preserving the map.
 
     Rule 1 folds an internal arc out of an outdegree-1 vertex; rule 2 folds an
-    internal arc onto an indegree-1 vertex when the labels agree.  Arcs are
-    scanned in canonical order with rule 1 exhausted before rule 2 is tried,
-    and every fold merges two adjacent vertices of the underlying tree, so no
-    parallel arcs can arise.  The induced map is unchanged and the result is
-    a fixpoint of both rules; both are checked on the result, and a failure
-    raises `ConstructionMismatchError`.
+    internal arc onto an indegree-1 vertex when the labels agree.  Folded one
+    at a time in canonical order (rule 1 before rule 2, smallest arc first,
+    the tail surviving), the rules reach the same network as one quotient by
+    the arcs collapsible in the input, because no fold makes or unmakes a
+    collapsible arc:
+
+    - a merged class has outdegree 1 only while it is a chain of
+      outdegree-1 hybrids, so rule 1 applies to exactly the input's arcs
+      out of outdegree-1 vertices;
+    - the head of a rule-2 arc keeps indegree 1;
+    - all labelled members of a class carry the same label.
+
+    So the sequential folds merge exactly the components of the arcs that
+    are collapsible in the input.  Each class is named by its largest member
+    that no folded arc enters, which is the vertex the canonical order
+    leaves standing; the rule matters only when a hybrid has two or more
+    outdegree-1 parents.  Every fold merges two adjacent vertices of the
+    underlying tree, so no parallel arcs arise.  The result is checked to be
+    discriminating and to induce the same map; a failure raises
+    `ConstructionMismatchError`.
     """
     net = ln.net
     if not is_arboreal(net):
         raise NotArborealError("the collapse rules assume an arboreal network")
     before = evaluate_map(ln)
-
-    kids = {v: list(net.children(v)) for v in net.vertices()}
-    pars = {v: list(net.parents(v)) for v in net.vertices()}
-    labels = {v: s for v, s in ln.labels}
-    leaf_name = {v: net.taxon_of(v) for v in net.leaf_vertices}
-
-    def internal_arcs():
-        return sorted((u, v) for u in kids for v in kids[u] if v not in leaf_name)
-
-    while True:
-        acted = False
-        for u, v in internal_arcs():
-            if len(kids[u]) == 1:
-                _fold_chain(kids, pars, labels, u, v)
-                acted = True
-                break
-        if acted:
-            continue
-        for u, v in internal_arcs():
-            if len(pars[v]) == 1 and labels[u] == labels[v]:
-                _fold_equal(kids, pars, labels, u, v)
-                acted = True
-                break
-        if not acted:
-            break
-
-    order = sorted(kids)
-    arcs = [(u, v) for u in order for v in kids[u]]
-    new = from_digraph(order, arcs, leaf_name, taxa=net.taxa)
+    fold = [(u, v) for u, v in net.arcs if _collapsible(ln, u, v)]
+    order, arcs, rep = _contract_arcs(net, fold)
+    new = from_digraph(order, arcs, dict(net.leaves), taxa=net.taxa)
     ids = {v: i for i, v in enumerate(order)}
-    out = LabelledNetwork.build(new, {ids[v]: s for v, s in labels.items()})
+    out = LabelledNetwork.build(new, {ids[rep[v]]: s for v, s in ln.labels})
     if not is_discriminating(out):
         raise ConstructionMismatchError("the collapsed network is not discriminating")
     if evaluate_map(out) != before:

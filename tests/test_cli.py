@@ -1,6 +1,9 @@
 """The command line: verbs, exit codes, and the JSON it emits."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,34 @@ def test_an_unknown_taxon_is_named(capsys, tmp_path, verb, what, doc):
     assert err == f"error: bad {what} document: unknown taxon 'z'\n"
 
 
+CHERRY = {"vertices": 3, "arcs": [[0, 1], [0, 2]], "leaves": {"1": "a", "2": "b"}}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("sag", {**CHERRY, "arcs": [[0, 1.7], [0, 2]]},
+     "bad network document: vertices and arc endpoints must be integers"),
+    ("sag", {**CHERRY, "arcs": [[0, True], [0, 2]]},
+     "bad network document: vertices and arc endpoints must be integers"),
+    ("sag", {**CHERRY, "vertices": 3.5},
+     "bad network document: vertices and arc endpoints must be integers"),
+    ("sag", {**CHERRY, "names": ["x", "y"]},
+     "bad network document: names must hold one string per vertex"),
+    ("sag", {**CHERRY, "names": ["x", "y", 3]},
+     "bad network document: names must hold one string per vertex"),
+    ("check", {"taxa": "ab", "values": [["a", "b", "A"]]},
+     "bad map document: taxa must be a list"),
+    ("ptolemaic", {"taxa": "ab", "edges": [["a", "b"]]},
+     "bad graph document: taxa must be a list"),
+])
+def test_a_document_is_read_as_written(capsys, tmp_path, verb, doc, message):
+    # no field is coerced: a float, a boolean, a short name list or a taxa
+    # string is refused rather than read as something else
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_missing_input_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--input", str(tmp_path / "nope.json"))
     assert code == 2
@@ -232,3 +263,35 @@ def test_a_missing_gem_witness_is_an_error(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def cli_process(*args):
+    # the CLI as its own interpreter: (exit code, stdout, stderr)
+    env = dict(os.environ)
+    env.pop("PYTHONOPTIMIZE", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+MAP_FIXTURES = ["module_demo_map.json", "seven_taxa_map.json", "seven_taxa_map.tri"]
+GRAPH_FIXTURES = ["c4.json", "two_quads.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[[*verb, name] for name in MAP_FIXTURES
+      for verb in (["check"], ["explain"], ["explain", "--dot"])],
+    *[[*verb, "seven_taxa_network.json"]
+      for verb in (["evaluate"], ["normalize"], ["normalize", "--dot"], ["sag"])],
+    *[[*verb, name] for name in GRAPH_FIXTURES
+      for verb in (["represent"], ["represent", "--arboreal"], ["ptolemaic"], ["ecc"])],
+], ids=" ".join)
+def test_optimized_interpreter_gives_the_same_output(argv):
+    # python -O strips asserts, so no verdict or output may rest on one
+    *verb, name = argv
+    call = ["-m", "arboreal.cli", *verb, "--input", fix(name)]
+    assert cli_process("-O", *call) == cli_process(*call)

@@ -1,8 +1,9 @@
 """Symbolic maps, their explainability conditions, and the normal form."""
 
+import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +39,14 @@ from arboreal import (
     verify_phi_bijection,
 )
 from arboreal import symbolic
-from arboreal.networks import validate_network
+from arboreal.networks import from_digraph, validate_network
 from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI, _canonical_form
-from arboreal.oracle import GenParams, random_labelled_network, random_uncollapse
+from arboreal.oracle import (
+    GenParams,
+    random_labelled_network,
+    random_symbolic_map,
+    random_uncollapse,
+)
 
 
 def map_of(taxa, values, symbols=None):
@@ -151,6 +157,39 @@ def test_violation_checker_rejects_corrupt_witnesses():
     assert not check_violation(d, Violation(v.kind, v.witness[:3]))
     assert not check_violation(d, Violation(v.kind, ("w", "x", "y", "q")))
     assert not check_violation(d, Violation(DELTA, ("w", "x", "y")))
+
+
+def violation_kind(v):
+    # a not-ptolemaic verdict is named by its witness, a hole or a gem
+    if v.kind != NOT_PTOLEMAIC:
+        return v.kind
+    return next(k for k, text in symbolic._PTOLEMAIC_DETAIL.items() if text == v.detail)
+
+
+def test_every_reported_violation_rechecks(gem):
+    # all 729 maps over four taxa with values A, B or the gap, plus a map
+    # whose support is the gem and one with three symbols on a triple:
+    # between them they draw every kind of verdict
+    taxa = TaxonSet.of("abcd")
+    maps = [SymbolicMap(taxa, values) for values in product(("A", "B", None), repeat=6)]
+    maps.append(SymbolicMap.build(gem.taxa, {e: "A" for e in gem.edges}))
+    maps.append(map_of("abc", {("a", "b"): "A", ("a", "c"): "B", ("b", "c"): "C"}))
+    seen = set()
+    for d in maps:
+        v = check_arboreal_conditions(d)
+        if v is not None:
+            assert check_violation(d, v)
+            seen.add(violation_kind(v))
+    assert seen == {NOT_CONNECTED, "hole", "gem", DELTA, PI, A4}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_random_violations_recheck(seed):
+    p = GenParams(leaf_range=(5, 8), symbol_count=1 + seed % 3, hybrid_bias=0.1 * (seed % 4), seed=seed)
+    d = random_symbolic_map(p)
+    v = check_arboreal_conditions(d)
+    assert v is None or check_violation(d, v)
 
 
 def test_clean_map_has_no_violation(seven_map, module_map):
@@ -288,12 +327,14 @@ def cherry_under_equal_labels():
 
 
 def test_normal_form_certifies_the_map(monkeypatch):
-    def relabel(kids, pars, labels, u, v):
-        labels[v] += "'"  # a wrong fold: the arc stays and the map changes
-
-    monkeypatch.setattr(symbolic, "_fold_equal", relabel)
+    # root 0 (A) over leaf x and vertex 1 (B) over leaves y and z is
+    # already discriminating; a contraction that folds the arc (0, 1)
+    # anyway merges two labels and changes the map
+    net = validate_network([(0, 1), (0, 2), (1, 3), (1, 4)], {2: "x", 3: "y", 4: "z"})
+    contract = symbolic._contract_arcs
+    monkeypatch.setattr(symbolic, "_contract_arcs", lambda net, fold: contract(net, [(0, 1)]))
     with pytest.raises(ConstructionMismatchError):
-        make_discriminating(cherry_under_equal_labels())
+        make_discriminating(LabelledNetwork.build(net, {0: "A", 1: "B"}))
 
 
 def test_normal_form_certifies_the_fixpoint(monkeypatch):
@@ -376,6 +417,96 @@ def test_undoing_collapses_keeps_the_map(seed):
     assert not is_discriminating(grown)
     assert evaluate_map(grown) == evaluate_map(nf)
     assert are_isomorphic(make_discriminating(grown), nf)
+
+
+def make_discriminating_by_folds(ln):
+    # The collapse as a sequence of single folds: fold the first collapsible
+    # arc in canonical order, rule 1 before rule 2, the tail absorbing the
+    # head, and rescan.  Reference for the one-quotient `make_discriminating`.
+    net = ln.net
+    kids = {v: list(net.children(v)) for v in net.vertices()}
+    pars = {v: list(net.parents(v)) for v in net.vertices()}
+    labels = dict(ln.labels)
+    leaves = dict(net.leaves)
+
+    def fold(u, v):
+        for p in pars[v]:
+            if p != u:
+                kids[p][kids[p].index(v)] = u
+                pars[u].append(p)
+        kids[u] = [c for c in kids[u] if c != v] + kids[v]
+        for c in kids[v]:
+            pars[c][pars[c].index(v)] = u
+        if v in labels:
+            labels[u] = labels.pop(v)
+        del kids[v], pars[v]
+
+    def first(rule):
+        arcs = sorted((u, v) for u in kids for v in kids[u] if v not in leaves)
+        return next(((u, v) for u, v in arcs if rule(u, v)), None)
+
+    while True:
+        arc = first(lambda u, v: len(kids[u]) == 1) or first(
+            lambda u, v: len(pars[v]) == 1 and labels[u] == labels[v]
+        )
+        if arc is None:
+            break
+        fold(*arc)
+
+    order = sorted(kids)
+    new = from_digraph(order, [(u, v) for u in order for v in kids[u]], leaves, taxa=net.taxa)
+    ids = {v: i for i, v in enumerate(order)}
+    return LabelledNetwork.build(new, {ids[v]: s for v, s in labels.items()})
+
+
+def stretched_network(seed):
+    # A random labelled network stretched without changing its map: a push
+    # moves some children of a branching vertex into a fresh equally
+    # labelled child, a lift moves two or more parents of a hybrid onto a
+    # fresh outdegree-1 vertex above it.  Lifts repeat on the same hybrids,
+    # which then gain several outdegree-1 parents; last, the ids are shuffled.
+    rng = random.Random(seed)
+    p = GenParams(leaf_range=(4, 12), root_range=(2, 6), symbol_count=1 + seed % 2, seed=seed)
+    ln = random_labelled_network(p)
+    kids = {v: list(ln.net.children(v)) for v in ln.net.vertices()}
+    pars = {v: list(ln.net.parents(v)) for v in ln.net.vertices()}
+    labels = dict(ln.labels)
+    for _ in range(rng.randint(1, 8)):
+        v = len(kids)
+        # a hybrid left with one parent must still branch
+        spare = {h: len(pars[h]) - (len(kids[h]) < 2) for h in kids}
+        lifts = [h for h in kids if len(pars[h]) >= 2 and spare[h] >= 2]
+        pushes = [w for w in kids if len(kids[w]) >= 3]
+        if lifts and (not pushes or rng.random() < 0.75):
+            h = rng.choice(lifts)
+            lifted = rng.sample(pars[h], rng.randint(2, spare[h]))
+            kids[v], pars[v] = [h], lifted
+            pars[h] = [q for q in pars[h] if q not in lifted] + [v]
+            for q in lifted:
+                kids[q][kids[q].index(h)] = v
+        elif pushes:
+            w = rng.choice(pushes)
+            block = rng.sample(kids[w], rng.randint(2, len(kids[w]) - 1))
+            kids[v], pars[v], labels[v] = block, [w], labels[w]
+            kids[w] = [c for c in kids[w] if c not in block] + [v]
+            for c in block:
+                pars[c][pars[c].index(w)] = v
+    ids = list(kids)
+    rng.shuffle(ids)
+    net = validate_network(
+        [(ids[u], ids[c]) for u in kids for c in kids[u]],
+        {ids[v]: t for v, t in ln.net.leaves},
+        num_vertices=len(ids),
+        taxa=ln.taxa,
+    )
+    return LabelledNetwork.build(net, {ids[v]: s for v, s in labels.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_normal_form_matches_the_sequential_folds(seed):
+    ln = stretched_network(seed)
+    assert make_discriminating(ln) == make_discriminating_by_folds(ln)
 
 
 def recursive_canonical_form(ln, anchor):
