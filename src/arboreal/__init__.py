@@ -12,7 +12,6 @@ from .cliques import (
     cover_digraph,
     ecc_min,
     intersection_closure,
-    is_clique,
     is_edge_clique_cover,
     maximal_cliques,
     underlying_acyclic,

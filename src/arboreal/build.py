@@ -22,7 +22,7 @@ from .errors import (
     NotACoverError,
     NotArborealError,
 )
-from .graphs import UGraph, is_connected, is_ptolemaic
+from .graphs import UGraph, _members, is_connected, is_ptolemaic
 from .networks import Network, _contract_arcs, from_digraph, is_arboreal, shared_ancestry_graph
 
 
@@ -49,23 +49,23 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
 
     closure = intersection_closure(cover)
     hasse = cover_digraph(closure)
-    members = list(closure.sets)
-    arcs = [(("set", members[a]), ("set", members[b])) for a, b in hasse.arcs]
+    masks, taxa = closure.masks, g.taxa.taxa
+    arcs = [(("set", a), ("set", b)) for a, b in hasse.arcs]
     # The closure is closed under intersection, so the members holding a
     # taxon have a least one, which is also the first of them in canonical
     # (size-first) order.
     host: dict = {}
-    for a in members:
-        for t in a:
-            host.setdefault(t, a)
+    for a, m in enumerate(masks):
+        for i in _members(m):
+            host.setdefault(i, a)
 
     singles = []
-    for t in g.taxa:
-        if t in host and len(host[t]) == 1:
+    for i, t in enumerate(taxa):
+        if i in host and masks[host[i]].bit_count() == 1:
             continue  # t is itself a member
         singles.append(("single", t))
-        if t in host:
-            arcs.append((("set", host[t]), ("single", t)))
+        if i in host:
+            arcs.append((("set", host[i]), ("single", t)))
         # else t is isolated; its leaf dangles so that validation reports
         # the disconnection rather than dying here
 
@@ -76,33 +76,26 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
         indeg[v] = indeg.get(v, 0) + 1
     # a member of two or more taxa has a child (a smaller member or a taxon
     # it hosts), so only a singleton member can be a sink
+    names = [tuple(taxa[i] for i in _members(m)) for m in masks]
+    leaf_names = {key: key[1] for key in singles}
     fresh = []
-    for a in members:
+    for a in range(len(masks)):
         key = ("set", a)
-        if outdeg.get(key, 0) == 0 and indeg.get(key, 0) >= 2:
-            fresh.append(("fresh", a))
-            arcs.append((key, ("fresh", a)))
+        if outdeg.get(key, 0) == 0:
+            (t,) = names[a]
+            if indeg.get(key, 0) >= 2:
+                fresh.append(("fresh", a))
+                arcs.append((key, ("fresh", a)))
+                leaf_names[("fresh", a)] = t
+            else:
+                leaf_names[key] = t
 
-    leaf_names = {}
-    for a in members:
-        if len(a) == 1 and outdeg.get(("set", a), 0) == 0 and ("fresh", a) not in fresh:
-            (t,) = a
-            leaf_names[("set", a)] = t
-    for key in singles:
-        leaf_names[key] = key[1]
-    for key in fresh:
-        (t,) = key[1]
-        leaf_names[key] = t
-
-    def label(s: frozenset) -> str:
-        return "".join(closure.member_sorted(s))
-
-    order = sorted(range(len(members)), key=lambda i: closure.member_sorted(members[i]))
-    verts = [("set", members[i]) for i in order]
-    verts += sorted(singles) + sorted(fresh, key=lambda k: label(k[1]))
-    display = {("set", a): label(a) for a in members}
+    order = sorted(range(len(masks)), key=names.__getitem__)
+    verts = [("set", a) for a in order]
+    verts += sorted(singles) + sorted(fresh, key=lambda k: names[k[1]])
+    display = {("set", a): "".join(names[a]) for a in order}
     display.update({key: key[1] for key in singles})
-    display.update({key: label(key[1]) + "'" for key in fresh})
+    display.update({key: "".join(names[key[1]]) + "'" for key in fresh})
     net = from_digraph(verts, arcs, leaf_names, taxa=g.taxa, display_names=display)
     if shared_ancestry_graph(net) != g:
         raise ConstructionMismatchError("the network's shared ancestry differs from the graph")

@@ -1,8 +1,9 @@
 """Clique families over a taxon set: maximal cliques, covers, closures,
 and the containment (Hasse) digraph of a family.
 
-Families keep a canonical member order (size, then taxon positions), which
-fixes witness output and serialization.
+A family's members are taxon bitmasks, bit i standing for `over.taxa[i]`,
+kept in a canonical order (size, then taxon positions) that fixes witness
+output and serialization.
 """
 from __future__ import annotations
 
@@ -10,37 +11,46 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import NoEdgesError, TooLargeError
-from .graphs import TaxonSet, UGraph, _adjacency_bits
+from .graphs import TaxonSet, UGraph, _adjacency_bits, _members
 
 ECC_EDGE_CAP = 24
 
 
 @dataclass(frozen=True)
 class CliqueFamily:
-    """Finite family of distinct non-empty taxon subsets, canonically ordered."""
+    """Finite family of distinct non-empty taxon subsets, canonically ordered.
+
+    `masks` holds the members as taxon bitmasks; `sets` holds the same
+    members, in the same order, as frozensets of taxon names.
+    """
 
     over: TaxonSet
-    sets: tuple = ()
+    masks: tuple = ()
+    sets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = [frozenset(s) for s in self.sets]
-        for s in members:
-            if not s:
-                raise ValueError("family members must be non-empty")
-            for t in s:
-                if t not in self.over:
-                    raise ValueError(f"unknown taxon {t!r} in family member")
-        if len(set(members)) != len(members):
-            raise ValueError("family members must be distinct")
-        ordered = sorted(members, key=lambda s: self._key(s))
-        object.__setattr__(self, "sets", tuple(ordered))
-
-    def _key(self, s: frozenset) -> tuple:
-        return (len(s), tuple(sorted(self.over.index(t) for t in s)))
+        ordered = tuple(sorted(self.masks, key=lambda m: (m.bit_count(), _members(m))))
+        object.__setattr__(self, "masks", ordered)
+        taxa = self.over.taxa
+        object.__setattr__(
+            self, "sets", tuple(frozenset(taxa[i] for i in _members(m)) for m in ordered)
+        )
 
     @classmethod
     def build(cls, over: TaxonSet, sets: Iterable[Iterable[str]]) -> "CliqueFamily":
-        return cls(over, tuple(frozenset(s) for s in sets))
+        masks = []
+        for s in sets:
+            mask = 0
+            for t in s:
+                if t not in over:
+                    raise ValueError(f"unknown taxon {t!r} in family member")
+                mask |= 1 << over.index(t)
+            if not mask:
+                raise ValueError("family members must be non-empty")
+            masks.append(mask)
+        if len(set(masks)) != len(masks):
+            raise ValueError("family members must be distinct")
+        return cls(over, tuple(masks))
 
     def member_sorted(self, s: frozenset) -> tuple[str, ...]:
         return self.over.sorted(s)
@@ -49,13 +59,10 @@ class CliqueFamily:
         return frozenset(self.sets)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.sets)
-
-    def __contains__(self, s) -> bool:
-        return frozenset(s) in self.as_sets()
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,9 @@ class CoverDigraph:
     arcs: tuple = ()  # sorted pairs of indices into family.sets
 
 
-def _mask_to_set(mask: int, taxa: TaxonSet) -> frozenset:
-    return frozenset(taxa.taxa[i] for i in range(len(taxa)) if mask >> i & 1)
+def _is_clique_mask(adj: list, mask: int) -> bool:
+    """Whether the taxa of `mask` are pairwise adjacent in `adj`."""
+    return all(adj[i] & mask == mask ^ (1 << i) for i in _members(mask))
 
 
 def maximal_cliques(g: UGraph) -> CliqueFamily:
@@ -102,27 +110,20 @@ def maximal_cliques(g: UGraph) -> CliqueFamily:
             p &= ~bit
             x |= bit
             rest ^= bit
-    return CliqueFamily.build(g.taxa, [_mask_to_set(m, g.taxa) for m in found])
-
-
-def is_clique(g: UGraph, vertices: Iterable[str]) -> bool:
-    vs = list(vertices)
-    return all(g.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
+    return CliqueFamily(g.taxa, tuple(found))
 
 
 def is_edge_clique_cover(g: UGraph, family: CliqueFamily) -> bool:
     """True iff every member is a clique of size >= 2 and every edge of `g`
     lies inside some member."""
-    for s in family:
-        if len(s) < 2 or not is_clique(g, s):
+    adj = _adjacency_bits(g)
+    covered = [0] * len(adj)
+    for m in family.masks:
+        if m.bit_count() < 2 or not _is_clique_mask(adj, m):
             return False
-    covered = set()
-    for s in family:
-        members = sorted(s, key=g.taxa.index)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                covered.add((a, b))
-    return all(e in covered for e in g.edges)
+        for i in _members(m):
+            covered[i] |= m
+    return all(not row & ~cov for row, cov in zip(adj, covered))
 
 
 def ecc_min(g: UGraph) -> tuple[int, CliqueFamily]:
@@ -138,16 +139,11 @@ def ecc_min(g: UGraph) -> tuple[int, CliqueFamily]:
         raise NoEdgesError("minimum cover needs at least one edge")
     if len(edges) > ECC_EDGE_CAP:
         raise TooLargeError(f"minimum cover search capped at {ECC_EDGE_CAP} edges")
-    cliques = maximal_cliques(g).sets
-    edge_index = {e: i for i, e in enumerate(edges)}
-    clique_edge_mask = []
-    for s in cliques:
-        members = g.taxa.sorted(s)
-        mask = 0
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                mask |= 1 << edge_index[(a, b)]
-        clique_edge_mask.append(mask)
+    cliques = maximal_cliques(g).masks
+    ends = [1 << g.taxa.index(a) | 1 << g.taxa.index(b) for a, b in edges]
+    clique_edge_mask = [
+        sum(1 << k for k, e in enumerate(ends) if m & e == e) for m in cliques
+    ]
     full = (1 << len(edges)) - 1
     by_edge = [
         [ci for ci, m in enumerate(clique_edge_mask) if m >> ei & 1]
@@ -171,43 +167,57 @@ def ecc_min(g: UGraph) -> tuple[int, CliqueFamily]:
     for k in range(1, len(cliques) + 1):
         witness = search(0, (), k)
         if witness is not None:
-            return k, CliqueFamily.build(g.taxa, [cliques[ci] for ci in witness])
+            return k, CliqueFamily(g.taxa, tuple(cliques[ci] for ci in witness))
     raise AssertionError("maximal cliques always cover all edges")
 
 
 def intersection_closure(family: CliqueFamily) -> CliqueFamily:
     """Closure of the family under non-empty pairwise intersection.
 
-    Iterating pairwise intersections to a fixpoint yields every non-empty
-    intersection of a subfamily.
+    One pass over the members suffices: once the intersections of every
+    subfamily of the earlier members are held, a new member m adds exactly
+    m itself and its intersections with those, and these need no further
+    pass among themselves, since m & a & b = (m & a) & (m & b).
     """
     if len(family) == 0:
         raise ValueError("closure needs a non-empty family")
-    closed = set(family.sets)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closed):
-                c = a & b
-                if c and c not in closed:
-                    closed.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return CliqueFamily.build(family.over, closed)
+    closed = set()
+    for m in family.masks:
+        closed |= {m & c for c in closed}
+        closed.add(m)
+    closed.discard(0)
+    return CliqueFamily(family.over, tuple(closed))
 
 
 def cover_digraph(family: CliqueFamily) -> CoverDigraph:
-    sets = family.sets
+    """The containment order of `family`, reduced to its cover arcs.
+
+    Everything is a bitset over member indices.  `holds[t]` marks the
+    members containing taxon t, so the members meeting the taxa outside
+    member i are the union of their `holds`, and every other member but i
+    itself is a strict subset of i.  Member i then covers its strict
+    subsets minus those lying below another of them.
+    """
+    masks = family.masks
+    everyone = (1 << len(masks)) - 1
+    all_taxa = (1 << len(family.over)) - 1
+    holds = [0] * len(family.over)
+    for k, m in enumerate(masks):
+        for t in _members(m):
+            holds[t] |= 1 << k
+    below = []
+    for i, m in enumerate(masks):
+        meet_outside = 1 << i
+        for t in _members(all_taxa & ~m):
+            meet_outside |= holds[t]
+        below.append(everyone & ~meet_outside)
     arcs = []
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i == j or not b < a:
-                continue
-            if any(b < c < a for c in sets):
-                continue
-            arcs.append((i, j))
-    return CoverDigraph(family, tuple(sorted(arcs)))
+    for i, sub in enumerate(below):
+        deeper = 0
+        for j in _members(sub):
+            deeper |= below[j]
+        arcs.extend((i, j) for j in _members(sub & ~deeper))
+    return CoverDigraph(family, tuple(arcs))
 
 
 def underlying_acyclic(h: CoverDigraph) -> bool:

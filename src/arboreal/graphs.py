@@ -168,6 +168,16 @@ def _adjacency_bits(g: UGraph) -> list[int]:
     return masks
 
 
+def _members(mask: int) -> list:
+    """Positions of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _lexbfs(adj: list) -> list:
     # Lexicographic BFS by partition refinement.  The cells hold the
     # unvisited vertices of equal label, largest label first; the next

@@ -29,7 +29,8 @@ def serialize_graph(g: UGraph) -> dict:
 def parse_graph(doc) -> UGraph:
     _need_keys(doc, {"taxa", "edges"}, "graph")
     try:
-        return UGraph.build(_taxa(doc), [tuple(e) for e in doc["edges"]])
+        taxa = _list(doc["taxa"], "taxa")
+        return UGraph.build(taxa, [_list(e, "each edge") for e in doc["edges"]])
     except (ValueError, TypeError, UnknownTaxonError) as err:
         raise InputParseError(f"bad graph document: {err}") from None
 
@@ -48,7 +49,7 @@ def serialize_network(net: Network) -> dict:
 def parse_network(doc) -> Network:
     _need_keys(doc, {"vertices", "arcs", "leaves"}, "network")
     try:
-        leaves = {int(v): str(t) for v, t in doc["leaves"].items()}
+        leaves = {_vertex_id(v): t for v, t in doc["leaves"].items()}
         arcs = [tuple(a) for a in doc["arcs"]]
         vertices, names = doc["vertices"], doc.get("names")
         # JSON integers only: int() would round 1.7 down and read true as 1
@@ -60,6 +61,8 @@ def parse_network(doc) -> Network:
             or not all(isinstance(name, str) for name in names)
         ):
             raise ValueError("names must hold one string per vertex")
+        if not all(isinstance(t, str) for t in leaves.values()):
+            raise ValueError("leaf taxa must be strings")
         return validate_network(arcs, leaves, num_vertices=vertices, vertex_names=names)
     except (ValueError, TypeError, AttributeError) as err:
         raise InputParseError(f"bad network document: {err}") from None
@@ -75,7 +78,7 @@ def parse_labelled(doc) -> LabelledNetwork:
     _need_keys(doc, {"vertices", "arcs", "leaves", "labels"}, "labelled network")
     net = parse_network({k: v for k, v in doc.items() if k != "labels"})
     try:
-        labels = {int(v): str(s) for v, s in doc["labels"].items()}
+        labels = {_vertex_id(v): s for v, s in doc["labels"].items()}
         return LabelledNetwork.build(net, labels)
     except (ValueError, TypeError, AttributeError) as err:
         raise InputParseError(f"bad labelled network document: {err}") from None
@@ -97,9 +100,13 @@ def parse_map(doc) -> SymbolicMap:
     try:
         values = {}
         for row in doc["values"]:
-            a, b, value = row
+            a, b, value = _list(row, "each value row")
             values[(a, b)] = value
-        return SymbolicMap.build(TaxonSet.of(_taxa(doc)), values, symbols=doc.get("symbols"))
+        taxa = TaxonSet.of(_list(doc["taxa"], "taxa"))
+        symbols = doc.get("symbols")
+        if symbols is not None:
+            _list(symbols, "symbols")
+        return SymbolicMap.build(taxa, values, symbols=symbols)
     except InputParseError:
         raise
     except (ValueError, TypeError, UnknownTaxonError) as err:
@@ -123,11 +130,18 @@ def load_json(text: str):
         ) from None
 
 
-def _taxa(doc) -> list:
+def _list(value, what: str) -> list:
     # a string would pass for the list of its characters
-    if not isinstance(doc["taxa"], list):
-        raise ValueError("taxa must be a list")
-    return doc["taxa"]
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _vertex_id(key: str) -> int:
+    # int() would also read " 1", "01", "+2" and "1_0"
+    if str(int(key)) != key:
+        raise ValueError(f"vertex key {key!r} is not written as a plain integer")
+    return int(key)
 
 
 def _need_keys(doc, keys: set, what: str):

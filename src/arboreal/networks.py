@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import errors
 from .errors import InvalidNetworkError, UnknownTaxonError, UnknownVertexError
-from .graphs import TaxonSet, UGraph
+from .graphs import TaxonSet, UGraph, _members
 
 
 @dataclass(frozen=True)
@@ -440,16 +440,6 @@ def _cluster_masks(net: Network) -> list:
             if not waiting[p]:
                 ready.append(p)
     return masks
-
-
-def _members(mask: int) -> list:
-    """Positions of the set bits of `mask`, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def shared_ancestry_graph(net: Network) -> UGraph:

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Union
 
 from .build import build_network_from_cover, contract_tree_arcs
-from .cliques import CliqueFamily, intersection_closure, maximal_cliques
+from .cliques import CliqueFamily, _is_clique_mask, intersection_closure, maximal_cliques
 from .errors import (
     AmbiguousSplitError,
     ConstructionMismatchError,
@@ -29,6 +29,7 @@ from .graphs import (
     TaxonSet,
     UGraph,
     _adjacency_bits,
+    _members,
     connected_components,
     induced_subgraph,
     is_connected,
@@ -39,8 +40,6 @@ from .networks import (
     Network,
     _cluster_masks,
     _contract_arcs,
-    _members,
-    cluster,
     from_digraph,
     is_arboreal,
     validate_network,
@@ -509,17 +508,6 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
 # Clique-modules.
 
 
-def _is_clique_mask(adj: list, mask: int) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if adj[i] & mask != mask ^ low:
-            return False
-        m ^= low
-    return True
-
-
 def clique_modules(d: SymbolicMap) -> CliqueFamily:
     """Every clique-module of `d`: the singletons, plus each clique Y of the
     support graph such that no outside taxon tells two members of Y apart by
@@ -531,47 +519,25 @@ def clique_modules(d: SymbolicMap) -> CliqueFamily:
     adj = _adjacency_bits(graph_of_map(d))
     found = []
     for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        if len(members) >= 2:
-            if not _is_clique_mask(adj, mask):
-                continue
-            ok = True
-            for z in range(n):
-                if mask >> z & 1:
-                    continue
-                seen = None
-                for i in members:
-                    val = d.value(verts[i], verts[z])
-                    if val is None:
-                        continue
-                    if seen is not None and val != seen:
-                        ok = False
-                        break
-                    seen = val
-                if not ok:
-                    break
-            if not ok:
-                continue
-        found.append(frozenset(verts[i] for i in members))
-    return CliqueFamily.build(d.taxa, found)
+        members = _members(mask)
+        if len(members) < 2 or _is_clique_mask(adj, mask) and all(
+            len({d.value(verts[i], verts[z]) for i in members} - {None}) <= 1
+            for z in range(n)
+            if not mask >> z & 1
+        ):
+            found.append(mask)
+    return CliqueFamily(d.taxa, tuple(found))
 
 
 def strong_clique_modules(d: SymbolicMap) -> CliqueFamily:
     """The strong non-trivial clique-modules: those of size at least two that
     meet every clique-module they span a clique with either nestedly or not
     at all."""
-    mods = clique_modules(d)
-    idx = d.taxa.index
+    masks = clique_modules(d).masks
     adj = _adjacency_bits(graph_of_map(d))
-    masks = []
-    for s in mods.sets:
-        m = 0
-        for t in s:
-            m |= 1 << idx(t)
-        masks.append(m)
     strong = []
-    for s, m in zip(mods.sets, masks):
-        if len(s) < 2:
+    for m in masks:
+        if m.bit_count() < 2:
             continue
         ok = True
         for other in masks:
@@ -582,8 +548,8 @@ def strong_clique_modules(d: SymbolicMap) -> CliqueFamily:
                 ok = False
                 break
         if ok:
-            strong.append(s)
-    return CliqueFamily.build(d.taxa, strong)
+            strong.append(m)
+    return CliqueFamily(d.taxa, tuple(strong))
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +679,10 @@ def verify_phi_bijection(ln: LabelledNetwork) -> bool:
     if not is_arboreal(net):
         raise NotArborealError("the cluster bijection assumes an arboreal network")
     d = evaluate_map(ln)
-    g = graph_of_map(d)
-    clusters = [cluster(net, v) for v in net.vertices() if not net.is_leaf(v)]
+    masks = _cluster_masks(net)
+    clusters = [masks[v] for v in net.vertices() if not net.is_leaf(v)]
     if len(set(clusters)) != len(clusters):
         return False
-    target = set(intersection_closure(maximal_cliques(g)).as_sets())
-    target |= set(strong_clique_modules(d).as_sets())
+    target = set(intersection_closure(maximal_cliques(graph_of_map(d))).masks)
+    target |= set(strong_clique_modules(d).masks)
     return set(clusters) == target

@@ -107,6 +107,47 @@ def test_represent_arboreal_succeeds_on_the_quads(capsys):
     assert "network" in json.loads(out)
 
 
+def test_represent_orders_members_by_name_not_by_position(capsys, tmp_path):
+    # the taxa are listed out of name order: the closure members become
+    # vertices in the order of their member names, each read in taxon order
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "taxa": ["d", "b", "e", "a", "c"],
+        "edges": [["d", "b"], ["d", "e"], ["b", "e"], ["b", "a"], ["e", "a"],
+                  ["a", "c"], ["e", "c"]],
+    }))
+    code, out, _ = run(capsys, "represent", "--dot", "--input", str(graph))
+    assert (code, out) == (0, """digraph {
+  0 [label="be", shape=diamond];
+  1 [label="bea"];
+  2 [label="dbe"];
+  3 [label="e", shape=diamond];
+  4 [label="ea", shape=diamond];
+  5 [label="eac"];
+  6 [label="a", shape=box];
+  7 [label="b", shape=box];
+  8 [label="c", shape=box];
+  9 [label="d", shape=box];
+  10 [label="e", shape=box];
+  0 -> 3;
+  0 -> 7;
+  1 -> 0;
+  1 -> 4;
+  2 -> 0;
+  2 -> 9;
+  3 -> 10;
+  4 -> 3;
+  4 -> 6;
+  5 -> 4;
+  5 -> 8;
+}
+""")
+    code, out, _ = run(capsys, "represent", "--input", str(graph))
+    net = json.loads(out)["network"]
+    assert net["names"] == ["be", "bea", "dbe", "e", "ea", "eac", "a", "b", "c", "d", "e'"]
+    assert net["leaves"] == {"6": "a", "7": "b", "8": "c", "9": "d", "10": "e"}
+
+
 def test_sag_inverts_represent(capsys, tmp_path):
     rep = tmp_path / "rep.json"
     run(capsys, "represent", "--input", fix("two_quads.json"), "--output", str(rep))
@@ -187,6 +228,7 @@ def test_an_unknown_taxon_is_named(capsys, tmp_path, verb, what, doc):
 
 
 CHERRY = {"vertices": 3, "arcs": [[0, 1], [0, 2]], "leaves": {"1": "a", "2": "b"}}
+LABELLED_CHERRY = {**CHERRY, "labels": {"0": "A"}}
 
 
 @pytest.mark.parametrize("verb, doc, message", [
@@ -204,10 +246,39 @@ CHERRY = {"vertices": 3, "arcs": [[0, 1], [0, 2]], "leaves": {"1": "a", "2": "b"
      "bad map document: taxa must be a list"),
     ("ptolemaic", {"taxa": "ab", "edges": [["a", "b"]]},
      "bad graph document: taxa must be a list"),
+    ("sag", {**CHERRY, "leaves": {"1": 7, "2": "b"}},
+     "bad network document: leaf taxa must be strings"),
+    ("sag", {**CHERRY, "leaves": {"1": ["a"], "2": "b"}},
+     "bad network document: leaf taxa must be strings"),
+    ("sag", {**CHERRY, "leaves": {" 1": "a", "2": "b"}},
+     "bad network document: vertex key ' 1' is not written as a plain integer"),
+    ("sag", {**CHERRY, "leaves": {"01": "a", "2": "b"}},
+     "bad network document: vertex key '01' is not written as a plain integer"),
+    ("sag", {**CHERRY, "leaves": {"1": "a", "+2": "b"}},
+     "bad network document: vertex key '+2' is not written as a plain integer"),
+    ("sag", {**CHERRY, "leaves": {"0_1": "a", "2": "b"}},
+     "bad network document: vertex key '0_1' is not written as a plain integer"),
+    ("evaluate", {**LABELLED_CHERRY, "labels": {" 0": "A"}},
+     "bad labelled network document: vertex key ' 0' is not written as a plain integer"),
+    ("evaluate", {**LABELLED_CHERRY, "labels": {"00": "A"}},
+     "bad labelled network document: vertex key '00' is not written as a plain integer"),
+    ("evaluate", {**LABELLED_CHERRY, "labels": {"+0": "A"}},
+     "bad labelled network document: vertex key '+0' is not written as a plain integer"),
+    ("evaluate", {**LABELLED_CHERRY, "labels": {"0_0": "A"}},
+     "bad labelled network document: vertex key '0_0' is not written as a plain integer"),
+    ("evaluate", {**LABELLED_CHERRY, "labels": {"0": True}},
+     "bad labelled network document: labels are non-empty symbol strings, gap excluded"),
+    ("check", {"taxa": ["a", "b"], "symbols": "AB", "values": [["a", "b", "A"]]},
+     "bad map document: symbols must be a list"),
+    ("check", {"taxa": ["a", "b"], "values": ["abA"]},
+     "bad map document: each value row must be a list"),
+    ("ptolemaic", {"taxa": ["a", "b"], "edges": ["ab"]},
+     "bad graph document: each edge must be a list"),
 ])
 def test_a_document_is_read_as_written(capsys, tmp_path, verb, doc, message):
-    # no field is coerced: a float, a boolean, a short name list or a taxa
-    # string is refused rather than read as something else
+    # no field is coerced: a float, a boolean, a short name list, a string
+    # for a list, a non-string taxon or label, or a vertex key not written as
+    # a plain integer is refused rather than read as something else
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, verb, "--input", str(path))

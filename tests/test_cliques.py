@@ -11,12 +11,11 @@ from arboreal import (
     cover_digraph,
     ecc_min,
     intersection_closure,
-    is_clique,
     is_edge_clique_cover,
     maximal_cliques,
     underlying_acyclic,
 )
-from arboreal import UGraph
+from arboreal import TaxonSet, UGraph
 from arboreal.oracle import (
     brute_maximal_cliques,
     brute_transitive_reduction,
@@ -39,14 +38,6 @@ def test_family_is_canonical_and_checks_members(two_quads):
         family(two_quads, "34", "43")  # same member twice
     with pytest.raises(ValueError):
         family(two_quads, "")
-
-
-def test_is_clique(two_quads, c4):
-    assert is_clique(two_quads, set("1234"))
-    assert is_clique(two_quads, set("34"))
-    assert is_clique(two_quads, {"1"})
-    assert not is_clique(two_quads, set("12345"))
-    assert not is_clique(c4, set("wxy"))
 
 
 def test_maximal_cliques_on_fixtures(two_quads, c4):
@@ -140,14 +131,25 @@ def test_closure_is_idempotent_and_contains_input(two_quads, c4):
         assert intersection_closure(closed).as_sets() == closed.as_sets()
 
 
+# 1-20 distinct members over up to 10 taxa, listed out of name order; the
+# draws include singletons and nested members
+arbitrary_families = st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=20, unique=True).map(
+        lambda masks: CliqueFamily.build(
+            TaxonSet.of(f"t{n - i}" for i in range(n)),
+            [{f"t{n - i}" for i in range(n) if m >> i & 1} for m in masks],
+        )
+    )
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(4, 7))
-def test_closure_matches_subset_formula(seed, n):
-    g = random_connected_graph(n, seed)
-    fam = maximal_cliques(g)
-    if not fam.sets:
-        return
-    assert intersection_closure(fam).as_sets() == subset_intersection_closure(fam.as_sets())
+@given(st.integers(0, 10**6), st.integers(4, 7), arbitrary_families)
+def test_closure_matches_subset_formula(seed, n, arbitrary):
+    for fam in (maximal_cliques(random_connected_graph(n, seed)), arbitrary):
+        if fam.sets:
+            closed = intersection_closure(fam).as_sets()
+            assert closed == subset_intersection_closure(fam.as_sets())
 
 
 def test_cover_digraph_chain_and_antichain(two_quads):
@@ -171,16 +173,17 @@ def test_cover_digraph_skips_covered_containments(two_quads):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(4, 7))
-def test_cover_digraph_matches_brute_reduction(seed, n):
-    g = random_connected_graph(n, seed)
-    fam = maximal_cliques(g)
-    if not fam.sets:
-        return
-    closed = intersection_closure(fam)
-    h = cover_digraph(closed)
-    got = {(closed.sets[i], closed.sets[j]) for i, j in h.arcs}
-    assert got == brute_transitive_reduction(closed.as_sets())
+@given(st.integers(0, 10**6), st.integers(4, 7), arbitrary_families)
+def test_cover_digraph_matches_brute_reduction(seed, n, arbitrary):
+    fam = maximal_cliques(random_connected_graph(n, seed))
+    families = [arbitrary, intersection_closure(arbitrary)]
+    if fam.sets:
+        families.append(intersection_closure(fam))
+    for fam in families:
+        h = cover_digraph(fam)
+        assert list(h.arcs) == sorted(h.arcs)
+        got = {(fam.sets[i], fam.sets[j]) for i, j in h.arcs}
+        assert got == brute_transitive_reduction(fam.as_sets())
 
 
 def test_underlying_acyclicity_separates_the_fixtures(two_quads, c4):

@@ -16,6 +16,7 @@ from arboreal import (
     maximal_cliques,
     validate_network,
 )
+from arboreal import oracle
 from arboreal.symbolic import LabelledNetwork
 from arboreal.oracle import (
     GenParams,
@@ -65,6 +66,24 @@ def test_arboreal_generator_is_sound(seed):
     assert len(net.arcs) == net.num_vertices - 1
     assert 3 <= len(net.taxa) <= 10
     assert 1 <= net.root_count() <= 4
+
+
+def test_arboreal_generator_retries_a_non_tree(monkeypatch):
+    # the tree check is a raise, not an assert, so it also holds under -O
+    non_tree = validate_network(
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6)],
+        {4: "a", 5: "b", 6: "c"},
+    )
+    assert not is_arboreal(non_tree)
+    calls = []
+
+    def first_a_non_tree(*args, **kwargs):
+        calls.append(args)
+        return non_tree if len(calls) == 1 else validate_network(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "validate_network", first_a_non_tree)
+    net = random_arboreal_network(GenParams(leaf_range=(3, 6), seed=3))
+    assert len(calls) >= 2 and is_arboreal(net)
 
 
 @settings(max_examples=60, deadline=None)
