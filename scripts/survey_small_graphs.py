@@ -8,6 +8,7 @@ enumeration oracle is frozen against.
 """
 
 import argparse
+import sys
 import time
 
 from arboreal import arboreal_representation, ecc_min, is_ptolemaic, maximal_cliques
@@ -31,9 +32,10 @@ def main() -> None:
             k, _ = ecc_min(g)
             if k == len(maximal_cliques(g)):
                 tight += 1
-            net = arboreal_representation(g)
-            assert net is not None, "every ptolemaic graph gets a tree"
-        assert tight == ptolemaic, "on ptolemaic graphs the maximal cliques are minimum"
+            if arboreal_representation(g) is None:
+                sys.exit(f"n={n}: a ptolemaic graph got no arboreal representation")
+        if tight != ptolemaic:
+            sys.exit(f"n={n}: on some ptolemaic graph the maximal cliques are not a minimum cover")
         print(
             f"{n:>2} {total:>9} {ptolemaic:>9} {tight:>14} "
             f"{time.perf_counter() - start:>8.2f}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import NoEdgesError, TooLargeError
-from .graphs import TaxonSet, UGraph, _adjacency_bits, _members
+from .graphs import TaxonSet, UGraph, _members
 
 ECC_EDGE_CAP = 24
 
@@ -87,8 +87,8 @@ def maximal_cliques(g: UGraph) -> CliqueFamily:
     cliques need no recursion.  Vertices with no neighbors contribute
     nothing: cliques here always have size >= 2.
     """
-    adj = _adjacency_bits(g)
-    n = len(g.taxa)
+    adj = g.adj
+    n = len(adj)
     found = []
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
@@ -116,7 +116,7 @@ def maximal_cliques(g: UGraph) -> CliqueFamily:
 def is_edge_clique_cover(g: UGraph, family: CliqueFamily) -> bool:
     """True iff every member is a clique of size >= 2 and every edge of `g`
     lies inside some member."""
-    adj = _adjacency_bits(g)
+    adj = g.adj
     covered = [0] * len(adj)
     for m in family.masks:
         if m.bit_count() < 2 or not _is_clique_mask(adj, m):
@@ -134,20 +134,19 @@ def ecc_min(g: UGraph) -> tuple[int, CliqueFamily]:
     always splitting on the first uncovered edge in canonical order.  Hard
     cap on the edge count keeps the search at desk scale.
     """
-    edges = g.sorted_edges()
-    if not edges:
+    ends = [1 << i | 1 << j for i, row in enumerate(g.adj) for j in _members(row) if j > i]
+    if not ends:
         raise NoEdgesError("minimum cover needs at least one edge")
-    if len(edges) > ECC_EDGE_CAP:
+    if len(ends) > ECC_EDGE_CAP:
         raise TooLargeError(f"minimum cover search capped at {ECC_EDGE_CAP} edges")
     cliques = maximal_cliques(g).masks
-    ends = [1 << g.taxa.index(a) | 1 << g.taxa.index(b) for a, b in edges]
     clique_edge_mask = [
         sum(1 << k for k, e in enumerate(ends) if m & e == e) for m in cliques
     ]
-    full = (1 << len(edges)) - 1
+    full = (1 << len(ends)) - 1
     by_edge = [
         [ci for ci, m in enumerate(clique_edge_mask) if m >> ei & 1]
-        for ei in range(len(edges))
+        for ei in range(len(ends))
     ]
 
     def search(covered: int, chosen: tuple, depth_left: int) -> Optional[tuple]:
@@ -155,7 +154,7 @@ def ecc_min(g: UGraph) -> tuple[int, CliqueFamily]:
             return chosen
         if depth_left == 0:
             return None
-        first = next(ei for ei in range(len(edges)) if not covered >> ei & 1)
+        first = next(ei for ei in range(len(ends)) if not covered >> ei & 1)
         for ci in by_edge[first]:
             if ci in chosen:
                 continue

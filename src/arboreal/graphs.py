@@ -66,108 +66,6 @@ class TaxonSet:
         return taxon in self._index
 
 
-@dataclass(frozen=True)
-class UGraph:
-    """Simple undirected graph whose vertices are the taxa."""
-
-    taxa: TaxonSet
-    edges: frozenset = field(default=frozenset())
-    _adj: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        canonical = set()
-        for edge in self.edges:
-            a, b = edge
-            canonical.add(self.taxa.pair(a, b))
-        object.__setattr__(self, "edges", frozenset(canonical))
-        adj = {t: set() for t in self.taxa}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        object.__setattr__(self, "_adj", {t: frozenset(ns) for t, ns in adj.items()})
-
-    @classmethod
-    def build(cls, taxa: Iterable[str], edges: Iterable[tuple[str, str]]) -> "UGraph":
-        return cls(TaxonSet.of(taxa), frozenset(tuple(e) for e in edges))
-
-    def neighbors(self, taxon: str) -> frozenset:
-        try:
-            return self._adj[taxon]
-        except KeyError:
-            raise UnknownTaxonError(taxon) from None
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self.neighbors(a)
-
-    def degree(self, taxon: str) -> int:
-        return len(self.neighbors(taxon))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges, key=lambda e: (self.taxa.index(e[0]), self.taxa.index(e[1])))
-
-
-def is_connected(g: UGraph) -> bool:
-    """True iff `g` is connected; a one-vertex graph counts as connected."""
-    start = g.taxa.taxa[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(g.taxa)
-
-
-def connected_components(g: UGraph) -> list[tuple[str, ...]]:
-    """Components as taxon tuples, each sorted, listed by first member."""
-    seen = set()
-    comps = []
-    for start in g.taxa:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(g.taxa.sorted(comp))
-    return comps
-
-
-def bfs_distances(g: UGraph, source: str) -> dict:
-    """Hop distances from `source`; unreachable vertices are absent."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def _adjacency_bits(g: UGraph) -> list[int]:
-    # neighbors of the i-th taxon as a bitmask over taxon positions
-    masks = [0] * len(g.taxa)
-    for a, b in g.edges:
-        i, j = g.taxa.index(a), g.taxa.index(b)
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
-
-
 def _members(mask: int) -> list:
     """Positions of the set bits of `mask`, lowest first."""
     out = []
@@ -176,6 +74,96 @@ def _members(mask: int) -> list:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+@dataclass(frozen=True)
+class UGraph:
+    """Simple undirected graph whose vertices are the taxa.
+
+    `adj` holds one neighbour bitmask per taxon position: bit j of `adj[i]`
+    stands for the edge `taxa.taxa[i]`-`taxa.taxa[j]`, so the rows are
+    symmetric and no row holds its own bit.
+    """
+
+    taxa: TaxonSet
+    adj: tuple
+
+    @classmethod
+    def build(cls, taxa: Iterable[str], edges: Iterable[tuple[str, str]]) -> "UGraph":
+        """The graph on `taxa` with the given name pairs as edges, checked
+        in the order given."""
+        ts = TaxonSet.of(taxa)
+        adj = [0] * len(ts)
+        for a, b in edges:
+            i, j = map(ts.index, ts.pair(a, b))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return cls(ts, tuple(adj))
+
+    def neighbors(self, taxon: str) -> frozenset:
+        taxa = self.taxa.taxa
+        return frozenset(taxa[j] for j in _members(self.adj[self.taxa.index(taxon)]))
+
+    def has_edge(self, a: str, b: str) -> bool:
+        return bool(self.adj[self.taxa.index(a)] >> self.taxa.index(b) & 1)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.adj) // 2
+
+    def sorted_edges(self) -> list[tuple[str, str]]:
+        taxa = self.taxa.taxa
+        return [
+            (taxa[i], taxa[j]) for i, row in enumerate(self.adj) for j in _members(row) if j > i
+        ]
+
+
+def _reach(adj, start: int, allowed: int) -> int:
+    """The vertices joined to the bitmask `start` by paths through `allowed`,
+    `start` included, as a bitmask."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        for i in _members(frontier):
+            nxt |= adj[i]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def is_connected(g: UGraph) -> bool:
+    """True iff `g` is connected; a one-vertex graph counts as connected."""
+    everything = (1 << len(g.adj)) - 1
+    return _reach(g.adj, 1, everything) == everything
+
+
+def connected_components(g: UGraph) -> list[tuple[str, ...]]:
+    """Components as taxon tuples, each sorted, listed by first member."""
+    taxa = g.taxa.taxa
+    left = (1 << len(g.adj)) - 1
+    comps = []
+    while left:
+        comp = _reach(g.adj, left & -left, left)
+        comps.append(tuple(taxa[i] for i in _members(comp)))
+        left &= ~comp
+    return comps
+
+
+def bfs_distances(g: UGraph, source: str) -> dict:
+    """Hop distances from `source`; unreachable vertices are absent."""
+    taxa = g.taxa.taxa
+    dist = {}
+    seen = frontier = 1 << g.taxa.index(source)
+    hops = 0
+    while frontier:
+        nxt = 0
+        for i in _members(frontier):
+            dist[taxa[i]] = hops
+            nxt |= g.adj[i]
+        frontier = nxt & ~seen
+        seen |= frontier
+        hops += 1
+    return dist
 
 
 def _lexbfs(adj: list) -> list:
@@ -205,12 +193,11 @@ def _elimination_adjacency(g: UGraph) -> Optional[list]:
     """Adjacency bitmasks indexed by LexBFS visit position, or None when the
     reversed visit order is not a perfect elimination ordering, which is
     exactly when `g` is not chordal."""
-    adj = _adjacency_bits(g)
-    order = _lexbfs(adj)
+    order = _lexbfs(g.adj)
     pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
-    padj = [sum(1 << pos[w] for w in range(len(adj)) if adj[v] >> w & 1) for v in order]
+    padj = [sum(1 << pos[w] for w in _members(g.adj[v])) for v in order]
     # The earlier-visited neighbors of each vertex, minus the latest of
     # them, must all be adjacent to that latest one.
     for i, nbrs in enumerate(padj):
@@ -236,27 +223,19 @@ def contains_gem(g: UGraph) -> Optional[tuple[str, ...]]:
     """First five vertices (canonical order) inducing a gem, else None.
 
     A gem is a four-vertex path plus an apex adjacent to all four path
-    vertices.  The path is recognized through its degree sequence: three
-    edges on four vertices with degrees 1,1,2,2 force a path.
+    vertices.  Five vertices induce one exactly when their induced degrees
+    are 2, 2, 3, 3, 4: the degree-4 vertex is the apex, and three edges on
+    the other four with degrees 1, 1, 2, 2 force a path.
 
     This scans every 5-subset, O(n^5), and serves only to name a witness
     once `is_ptolemaic` has rejected a chordal graph; the decision itself
     never calls it.
     """
-    for sub in combinations(g.taxa.taxa, 5):
-        for apex in sub:
-            rest = [v for v in sub if v != apex]
-            if not all(g.has_edge(apex, w) for w in rest):
-                continue
-            inner = [(a, b) for a, b in combinations(rest, 2) if g.has_edge(a, b)]
-            if len(inner) != 3:
-                continue
-            deg = {v: 0 for v in rest}
-            for a, b in inner:
-                deg[a] += 1
-                deg[b] += 1
-            if sorted(deg.values()) == [1, 1, 2, 2]:
-                return sub
+    adj = g.adj
+    for sub in combinations(range(len(adj)), 5):
+        mask = sum(1 << i for i in sub)
+        if sorted((adj[i] & mask).bit_count() for i in sub) == [2, 2, 3, 3, 4]:
+            return tuple(g.taxa.taxa[i] for i in sub)
     return None
 
 
@@ -289,20 +268,8 @@ def is_ptolemaic(g: UGraph) -> bool:
     everything = (1 << len(padj)) - 1
     for p, q in combinations(cliques, 2):
         sep = p & q
-        if not sep:
-            continue
-        allowed, goal = everything & ~sep, q & ~sep
-        seen = frontier = p & ~sep
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= padj[low.bit_length() - 1]
-                frontier ^= low
-            if reach & goal:
-                return False
-            frontier = reach & allowed & ~seen
-            seen |= frontier
+        if sep and _reach(padj, p & ~sep, everything & ~sep) & q:
+            return False
     return True
 
 
@@ -329,15 +296,15 @@ def ptolemy_inequality_holds(g: UGraph) -> bool:
 
 def induced_subgraph(g: UGraph, subset: Iterable[str]) -> UGraph:
     """Subgraph induced on `subset`, keeping the ambient taxon order."""
-    chosen = set(subset)
+    chosen = 0
+    for t in subset:
+        chosen |= 1 << g.taxa.index(t)
     if not chosen:
         raise EmptySubsetError("induced subgraph needs a non-empty subset")
-    for t in chosen:
-        if t not in g.taxa:
-            raise UnknownTaxonError(t)
-    taxa = TaxonSet.of(t for t in g.taxa if t in chosen)
-    edges = frozenset(e for e in g.edges if e[0] in chosen and e[1] in chosen)
-    return UGraph(taxa, edges)
+    keep = _members(chosen)
+    taxa = TaxonSet(tuple(g.taxa.taxa[i] for i in keep))
+    adj = tuple(sum(1 << k for k, j in enumerate(keep) if g.adj[i] >> j & 1) for i in keep)
+    return UGraph(taxa, adj)
 
 
 def find_induced_hole(g: UGraph) -> Optional[tuple[str, ...]]:
@@ -347,28 +314,29 @@ def find_induced_hole(g: UGraph) -> Optional[tuple[str, ...]]:
     path avoiding the rest of v's closed neighborhood closes a chordless
     cycle through v; no such path anywhere means the graph is chordal.
     """
-    for v in g.taxa:
-        nbrs = g.taxa.sorted(g.neighbors(v))
-        for a, b in combinations(nbrs, 2):
-            if g.has_edge(a, b):
+    taxa, adj = g.taxa.taxa, g.adj
+    everything = (1 << len(adj)) - 1
+    for v, row in enumerate(adj):
+        allowed = everything & ~(row | 1 << v)
+        for a, b in combinations(_members(row), 2):
+            if adj[a] >> b & 1:
                 continue
-            banned = (set(g.neighbors(v)) | {v}) - {a, b}
+            # breadth first from a, neighbours in position order
             prev = {a: None}
+            seen = 1 << a
             queue = deque([a])
-            while queue:
+            while queue and b not in prev:
                 w = queue.popleft()
-                if w == b:
-                    break
-                for u in g.taxa.sorted(g.neighbors(w)):
-                    if u not in prev and u not in banned:
-                        prev[u] = w
-                        queue.append(u)
+                fresh = adj[w] & (allowed | 1 << b) & ~seen
+                seen |= fresh
+                for u in _members(fresh):
+                    prev[u] = w
+                    queue.append(u)
             if b in prev:
                 path = [b]
                 while prev[path[-1]] is not None:
                     path.append(prev[path[-1]])
-                path.reverse()
-                return (v, *path)
+                return (taxa[v], *(taxa[i] for i in reversed(path)))
     return None
 
 

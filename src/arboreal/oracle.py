@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import TaxonSet, UGraph, contains_gem, is_chordal, is_connected
 from .networks import Network, is_arboreal, validate_network
-from .symbolic import LabelledNetwork, SymbolicMap, evaluate_map, is_discriminating
+from .symbolic import LabelledNetwork, SymbolicMap
 
 MAX_TRIES = 1000
 
@@ -620,8 +620,4 @@ def random_uncollapse(ln: LabelledNetwork, seed: int) -> Optional[LabelledNetwor
         num_vertices=nxt,
         taxa=net.taxa,
     )
-    out = LabelledNetwork.build(grown, labels)
-    # the inverse moves must not disturb the induced map
-    assert evaluate_map(out) == evaluate_map(ln)
-    assert not is_discriminating(out)
-    return out
+    return LabelledNetwork.build(grown, labels)

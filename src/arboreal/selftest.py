@@ -290,6 +290,7 @@ def _discriminating_normal_form(random_count: int = 1000):
             grown_count += 1
             fine = (
                 fine
+                and evaluate_map(grown) == evaluate_map(nf_direct)
                 and not is_discriminating(grown)
                 and not verify_phi_bijection(grown)
             )

@@ -28,7 +28,6 @@ from .errors import (
 from .graphs import (
     TaxonSet,
     UGraph,
-    _adjacency_bits,
     _members,
     connected_components,
     induced_subgraph,
@@ -116,9 +115,6 @@ class SymbolicMap:
     def items(self):
         return zip(self.taxa.pairs(), self.entries)
 
-    def gap_count(self) -> int:
-        return sum(1 for v in self.entries if v is None)
-
 
 def _pair_rows(n: int) -> tuple:
     """Offsets into the `combinations` order of n taxa: the pair of positions
@@ -129,7 +125,13 @@ def _pair_rows(n: int) -> tuple:
 
 def graph_of_map(d: SymbolicMap) -> UGraph:
     """Support graph on the taxa, joining the pairs whose value is not the gap."""
-    return UGraph(d.taxa, frozenset(p for p, v in d.items() if v is not None))
+    n = len(d.taxa)
+    adj = [0] * n
+    for (i, j), v in zip(combinations(range(n), 2), d.entries):
+        if v is not None:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return UGraph(d.taxa, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +518,7 @@ def clique_modules(d: SymbolicMap) -> CliqueFamily:
     if n > 16:
         raise TooLargeError("clique-module enumeration is desk-scale, 16 taxa at most")
     verts = d.taxa.taxa
-    adj = _adjacency_bits(graph_of_map(d))
+    adj = graph_of_map(d).adj
     found = []
     for mask in range(1, 1 << n):
         members = _members(mask)
@@ -534,7 +536,7 @@ def strong_clique_modules(d: SymbolicMap) -> CliqueFamily:
     meet every clique-module they span a clique with either nestedly or not
     at all."""
     masks = clique_modules(d).masks
-    adj = _adjacency_bits(graph_of_map(d))
+    adj = graph_of_map(d).adj
     strong = []
     for m in masks:
         if m.bit_count() < 2:

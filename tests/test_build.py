@@ -33,14 +33,14 @@ def test_naive_representation_uses_one_root_per_edge(two_quads, c4):
     # the edges of any graph are distinct 2-sets, hence an antichain cover
     # that hangs one root over each edge
     for g in (two_quads, c4):
-        edges = CliqueFamily.build(g.taxa, g.edges)
+        edges = CliqueFamily.build(g.taxa, g.sorted_edges())
         net = build_network_from_cover(g, edges)
         assert net.root_count() == g.edge_count
         assert root_clusters(net) == edges.as_sets()
         assert shared_ancestry_graph(net) == g
     split = UGraph.build("abcd", [("a", "b"), ("c", "d")])
     with pytest.raises(InvalidNetworkError):
-        build_network_from_cover(split, CliqueFamily.build(split.taxa, split.edges))
+        build_network_from_cover(split, CliqueFamily.build(split.taxa, split.sorted_edges()))
 
 
 def test_cover_network_on_the_two_quads(two_quads):

@@ -336,10 +336,12 @@ def test_a_missing_gem_witness_is_an_error(capsys, tmp_path, monkeypatch):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-def cli_process(*args):
+def cli_process(*args, hash_seed=None):
     # the CLI as its own interpreter: (exit code, stdout, stderr)
     env = dict(os.environ)
     env.pop("PYTHONOPTIMIZE", None)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")])
     )
@@ -366,3 +368,16 @@ def test_optimized_interpreter_gives_the_same_output(argv):
     *verb, name = argv
     call = ["-m", "arboreal.cli", *verb, "--input", fix(name)]
     assert cli_process("-O", *call) == cli_process(*call)
+
+
+def test_the_first_bad_edge_is_named_whatever_the_hash_seed(tmp_path):
+    # edges are checked in document order, not in the order of a set
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(
+        {"taxa": ["a", "b", "c"], "edges": [["a", "a"], ["a", "z"], ["b", "b", "c"]]}
+    ))
+    for seed in range(8):
+        got = cli_process("-m", "arboreal.cli", "represent", "--input", str(path), hash_seed=seed)
+        assert got == (
+            2, "", "error: bad graph document: pair endpoints must differ, got 'a' twice\n"
+        ), seed

@@ -29,7 +29,9 @@ from arboreal.oracle import (
     is_ptolemaic_by_gem,
     random_connected_graph,
     random_network,
+    random_symbolic_map,
 )
+from arboreal.symbolic import graph_of_map
 
 
 def complete_graph(taxa):
@@ -79,7 +81,7 @@ def test_ugraph_normalises_edges():
     assert g.edge_count == 1
     assert g.sorted_edges() == [("a", "b")]
     assert g.has_edge("b", "a") and not g.has_edge("a", "c")
-    assert g.degree("a") == 1 and g.degree("c") == 0
+    assert len(g.neighbors("a")) == 1 and len(g.neighbors("c")) == 0
     assert g.neighbors("a") == frozenset({"b"})
 
 
@@ -109,8 +111,8 @@ def test_induced_subgraph_drops_outside_edges(two_quads):
     sub = induced_subgraph(two_quads, ["1", "2", "5"])
     assert list(sub.taxa) == ["1", "2", "5"]
     assert sub.sorted_edges() == [("1", "2")]
-    with pytest.raises(UnknownTaxonError):
-        induced_subgraph(two_quads, ["1", "9"])
+    with pytest.raises(UnknownTaxonError, match="'9'"):
+        induced_subgraph(two_quads, ["1", "9", "8", "7"])
 
 
 def test_chordality_of_small_standards(c4, c5, two_quads):
@@ -188,7 +190,7 @@ def test_hole_witnesses_verify(seed, n):
     assert not is_chordal(g)
     assert len(hole) >= 4
     ring = induced_subgraph(g, hole)
-    assert all(ring.degree(v) == 2 for v in hole)
+    assert all(len(ring.neighbors(v)) == 2 for v in hole)
     assert is_connected(ring)
 
 
@@ -243,3 +245,68 @@ def test_ptolemaic_matches_gem_reference_on_shared_ancestry(seed, bias):
     p = GenParams(leaf_range=(4, 12), root_range=(1, 5), hybrid_bias=bias, seed=seed)
     g = shared_ancestry_graph(random_network(p))
     assert is_ptolemaic(g) == is_ptolemaic_by_gem(g)
+
+
+def first_gem_by_degrees(g):
+    # five vertices induce a gem iff their induced degrees are 2, 2, 3, 3, 4
+    for sub in combinations(g.taxa.taxa, 5):
+        degrees = sorted(sum(g.has_edge(v, w) for w in sub) for v in sub)
+        if degrees == [2, 2, 3, 3, 4]:
+            return sub
+    return None
+
+
+def test_gem_scan_names_the_first_gem_on_every_small_graph():
+    gems = 0
+    for n in range(5, 7):
+        for g in enumerate_connected_graphs(n):
+            found = contains_gem(g)
+            assert found == first_gem_by_degrees(g), g.sorted_edges()
+            gems += found is not None
+    assert gems > 0
+
+
+def test_gem_scan_names_the_first_gem_on_random_graphs():
+    gems = 0
+    for seed in range(120):
+        n = 7 + seed % 3
+        for g in (random_connected_graph(n, seed, edge_prob=0.6), grown_chordal_graph(n, seed)):
+            found = contains_gem(g)
+            assert found == first_gem_by_degrees(g), (seed, g.sorted_edges())
+            gems += found is not None
+    assert gems > 0
+
+
+def drawn_graph(seed, source):
+    rng = random.Random(seed)
+    if source == "map":
+        p = GenParams(leaf_range=(2, 12), symbol_count=2, hybrid_bias=0.4, seed=seed)
+        return graph_of_map(random_symbolic_map(p))
+    if source == "network":
+        p = GenParams(leaf_range=(2, 14), root_range=(1, 5), hybrid_bias=0.3, seed=seed)
+        return shared_ancestry_graph(random_network(p))
+    names = [f"t{i}" for i in range(rng.randint(1, 12))]
+    rng.shuffle(names)
+    edges = [
+        (b, a) if rng.random() < 0.5 else (a, b)
+        for a, b in combinations(names, 2)
+        if rng.random() < 0.4
+    ]
+    g = UGraph.build(names, edges + edges[: len(edges) // 3])
+    assert {frozenset(e) for e in g.sorted_edges()} == {frozenset(e) for e in edges}
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["map", "network", "build"]))
+def test_adjacency_rows_are_symmetric_and_round_trip(seed, source):
+    g = drawn_graph(seed, source)
+    n = len(g.taxa)
+    assert len(g.adj) == n
+    for i, row in enumerate(g.adj):
+        assert not row >> i & 1 and not row >> n
+        assert all((row >> j & 1) == (g.adj[j] >> i & 1) for j in range(n))
+    edges = g.sorted_edges()
+    assert edges == [p for p in g.taxa.pairs() if g.has_edge(*p)]
+    assert g.edge_count == len(edges)
+    assert UGraph.build(g.taxa, edges) == g

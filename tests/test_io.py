@@ -109,7 +109,7 @@ def test_triangular_accepts_comments_and_blank_lines():
     text = "# distances\na b c\na\nb X\n\nc X X\n"
     d = parse_triangular(text)
     assert d.value("a", "b") == "X"
-    assert d.gap_count() == 0
+    assert d.entries.count(None) == 0
 
 
 def test_triangular_parse_errors_carry_line_numbers():

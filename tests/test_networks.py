@@ -126,11 +126,9 @@ def test_degree_accessors(seven_taxa):
 
 def test_ancestor_and_descendant_sets(seven_taxa):
     net = seven_taxa.net
-    leaf = net.leaf_vertex("3")
-    assert net.ancestors(leaf) == frozenset({leaf, 4, 0, 1})
     assert net.descendants(2) == frozenset({2, 5, 6})
-    # both directions are reflexive
-    assert 0 in net.descendants(0) and 0 in net.ancestors(0)
+    # the descendant set is reflexive
+    assert 0 in net.descendants(0)
 
 
 def test_cluster_contents(seven_taxa):
@@ -223,9 +221,10 @@ def test_shared_ancestry_matches_pairwise_ancestor_sets(seed):
     # arboreal
     p = GenParams(leaf_range=(2, 20), root_range=(1, 5), hybrid_bias=0.3, seed=seed)
     net = random_network(p)
-    anc = {t: net.ancestors(v) for v, t in net.leaves}
-    expected = {(x, y) for x, y in net.taxa.pairs() if anc[x] & anc[y]}
-    assert shared_ancestry_graph(net).edges == expected
+    expected = [
+        (x, y) for x, y in net.taxa.pairs() if brute_force_minimal_common_ancestors(net, x, y)
+    ]
+    assert shared_ancestry_graph(net).sorted_edges() == expected
 
 
 @settings(max_examples=60, deadline=None)

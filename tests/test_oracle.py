@@ -114,7 +114,7 @@ def test_labelled_generator_covers_exactly_the_branchings(seed):
 def test_map_generator_respects_alphabet_and_gap_bias(seed):
     p = GenParams(leaf_range=(3, 8), symbol_count=2, hybrid_bias=0.0, seed=seed)
     d = random_symbolic_map(p)
-    assert d.gap_count() == 0
+    assert d.entries.count(None) == 0
     assert set(d.symbols) <= {"a", "b"}
 
 
@@ -151,7 +151,7 @@ def test_labelled_tree_enumeration_matches_the_shape_counts():
         assert ln.net.root_count() == 1
         assert is_arboreal(ln.net)
         d = evaluate_map(ln)
-        assert d.gap_count() == 0
+        assert d.entries.count(None) == 0
         seen.add((ln.net.arcs, ln.net.leaves, ln.labels))
     assert len(seen) == 162
 
