@@ -8,6 +8,7 @@ induced map off a labelling, and closes the loop with explain().
 
 import argparse
 import random
+import sys
 
 from arboreal import (
     LabelledNetwork,
@@ -32,6 +33,11 @@ def show(title, body=""):
     print(f"\n== {title}")
     if body:
         print(body)
+
+
+def fail(message: str):
+    print(f"check failed: {message}", file=sys.stderr)
+    sys.exit(1)
 
 
 def main() -> None:
@@ -67,7 +73,8 @@ def main() -> None:
     for r in net.roots:
         print(f"  cluster of root {r}: {sorted(cluster(net, r))}")
 
-    assert shared_ancestry_graph(net) == g, "the construction must realize g"
+    if shared_ancestry_graph(net) != g:
+        fail("the network's shared ancestry graph differs from the input graph")
     show("shared ancestry graph equals the input", "checked")
 
     labels = {v: rng.choice("WB") for v in net.vertices() if net.outdeg(v) >= 2}
@@ -76,7 +83,8 @@ def main() -> None:
     show("induced symbolic map", serialize_triangular(d).rstrip())
 
     out = explain(d)
-    assert isinstance(out, LabelledNetwork), out
+    if not isinstance(out, LabelledNetwork):
+        fail(f"explain rejected a map read off a network: {out}")
     show(
         "explained back",
         f"{out.net.num_vertices} vertices, {out.net.root_count()} roots, "

@@ -37,7 +37,6 @@ from .errors import (
 from .graphs import (
     TaxonSet,
     UGraph,
-    bfs_distances,
     connected_components,
     contains_gem,
     find_induced_hole,
@@ -46,19 +45,18 @@ from .graphs import (
     is_connected,
     is_ptolemaic,
     ptolemaic_witness,
-    ptolemy_inequality_holds,
 )
 from .networks import (
     AlternatingCycle,
     Network,
     cluster,
     find_alternating_cycle,
-    from_digraph,
     h_tilde,
     is_arboreal,
     shared_ancestry_graph,
     validate_network,
 )
+from .oracle import bfs_distances, ptolemy_inequality_holds
 from .symbolic import (
     GAP_GLYPH,
     LabelledNetwork,

@@ -23,7 +23,13 @@ from .errors import (
     NotArborealError,
 )
 from .graphs import UGraph, _members, is_connected, is_ptolemaic
-from .networks import Network, _contract_arcs, from_digraph, is_arboreal, shared_ancestry_graph
+from .networks import (
+    Network,
+    _contract_arcs,
+    is_arboreal,
+    shared_ancestry_graph,
+    validate_network,
+)
 
 
 def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
@@ -48,9 +54,15 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
         raise NotACoverError("the family does not cover the edges of the graph")
 
     closure = intersection_closure(cover)
-    hasse = cover_digraph(closure)
     masks, taxa = closure.masks, g.taxa.taxa
-    arcs = [(("set", a), ("set", b)) for a, b in hasse.arcs]
+    # members first, in name order; then the single leaves, in taxon-name
+    # order; then the fresh leaves, in member order
+    names = [tuple(taxa[i] for i in _members(m)) for m in masks]
+    order = sorted(range(len(masks)), key=names.__getitem__)
+    vid = {a: k for k, a in enumerate(order)}
+    vertex_names = ["".join(names[a]) for a in order]
+    hasse = cover_digraph(closure).arcs
+    arcs = [(vid[a], vid[b]) for a, b in hasse]
     # The closure is closed under intersection, so the members holding a
     # taxon have a least one, which is also the first of them in canonical
     # (size-first) order.
@@ -59,44 +71,36 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
         for i in _members(m):
             host.setdefault(i, a)
 
-    singles = []
-    for i, t in enumerate(taxa):
+    leaf_names = {}
+    for i in sorted(range(len(taxa)), key=taxa.__getitem__):
         if i in host and masks[host[i]].bit_count() == 1:
-            continue  # t is itself a member
-        singles.append(("single", t))
+            continue  # the taxon is itself a member
         if i in host:
-            arcs.append((("set", host[i]), ("single", t)))
-        # else t is isolated; its leaf dangles so that validation reports
-        # the disconnection rather than dying here
+            arcs.append((vid[host[i]], len(vertex_names)))
+        # else the taxon is isolated; its leaf dangles so that validation
+        # reports the disconnection rather than dying here
+        leaf_names[len(vertex_names)] = taxa[i]
+        vertex_names.append(taxa[i])
 
-    outdeg: dict = {}
-    indeg: dict = {}
-    for u, v in arcs:
-        outdeg[u] = outdeg.get(u, 0) + 1
-        indeg[v] = indeg.get(v, 0) + 1
-    # a member of two or more taxa has a child (a smaller member or a taxon
-    # it hosts), so only a singleton member can be a sink
-    names = [tuple(taxa[i] for i in _members(m)) for m in masks]
-    leaf_names = {key: key[1] for key in singles}
-    fresh = []
-    for a in range(len(masks)):
-        key = ("set", a)
-        if outdeg.get(key, 0) == 0:
+    # A member of two or more taxa has a child (a smaller member or a taxon
+    # it hosts), and a singleton member has none, so the singleton members
+    # are the member sinks.
+    parents = [0] * len(masks)
+    for _, b in hasse:
+        parents[b] += 1
+    for a in order:
+        if masks[a].bit_count() == 1:
             (t,) = names[a]
-            if indeg.get(key, 0) >= 2:
-                fresh.append(("fresh", a))
-                arcs.append((key, ("fresh", a)))
-                leaf_names[("fresh", a)] = t
+            if parents[a] >= 2:
+                arcs.append((vid[a], len(vertex_names)))
+                leaf_names[len(vertex_names)] = t
+                vertex_names.append(t + "'")
             else:
-                leaf_names[key] = t
+                leaf_names[vid[a]] = t
 
-    order = sorted(range(len(masks)), key=names.__getitem__)
-    verts = [("set", a) for a in order]
-    verts += sorted(singles) + sorted(fresh, key=lambda k: names[k[1]])
-    display = {("set", a): "".join(names[a]) for a in order}
-    display.update({key: key[1] for key in singles})
-    display.update({key: "".join(names[key[1]]) + "'" for key in fresh})
-    net = from_digraph(verts, arcs, leaf_names, taxa=g.taxa, display_names=display)
+    net = validate_network(
+        arcs, leaf_names, num_vertices=len(vertex_names), taxa=g.taxa, vertex_names=vertex_names
+    )
     if shared_ancestry_graph(net) != g:
         raise ConstructionMismatchError("the network's shared ancestry differs from the graph")
     return net
@@ -138,5 +142,4 @@ def contract_tree_arcs(net: Network) -> Network:
         for u, v in net.arcs
         if not net.is_leaf(v) and net.indeg(v) == 1 and net.outdeg(u) >= 2
     ]
-    order, arcs, _ = _contract_arcs(net, fold)
-    return from_digraph(order, arcs, dict(net.leaves), taxa=net.taxa)
+    return _contract_arcs(net, fold)[0]

@@ -261,9 +261,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (ArborealError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

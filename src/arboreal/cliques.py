@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import NoEdgesError, TooLargeError
-from .graphs import TaxonSet, UGraph, _members
+from .graphs import TaxonSet, UGraph, _components, _members
 
 ECC_EDGE_CAP = 24
 
@@ -220,18 +220,10 @@ def cover_digraph(family: CliqueFamily) -> CoverDigraph:
 
 
 def underlying_acyclic(h: CoverDigraph) -> bool:
-    """True iff the digraph, read as an undirected graph, is a forest."""
-    parent = list(range(len(h.family)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    """True iff the digraph, read as an undirected graph, is a forest: a
+    graph is one iff it has as many edges as vertices minus components."""
+    adj = [0] * len(h.family)
     for a, b in h.arcs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return len(h.arcs) == len(adj) - len(_components(adj))

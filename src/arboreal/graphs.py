@@ -11,7 +11,6 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import (
-    DisconnectedGraphError,
     EmptySubsetError,
     MissingWitnessError,
     UnknownTaxonError,
@@ -137,33 +136,22 @@ def is_connected(g: UGraph) -> bool:
     return _reach(g.adj, 1, everything) == everything
 
 
-def connected_components(g: UGraph) -> list[tuple[str, ...]]:
-    """Components as taxon tuples, each sorted, listed by first member."""
-    taxa = g.taxa.taxa
-    left = (1 << len(g.adj)) - 1
+def _components(adj) -> list:
+    """The components of the graph with neighbour bitmask rows `adj`, as
+    bitmasks, listed by lowest member."""
+    left = (1 << len(adj)) - 1
     comps = []
     while left:
-        comp = _reach(g.adj, left & -left, left)
-        comps.append(tuple(taxa[i] for i in _members(comp)))
+        comp = _reach(adj, left & -left, left)
+        comps.append(comp)
         left &= ~comp
     return comps
 
 
-def bfs_distances(g: UGraph, source: str) -> dict:
-    """Hop distances from `source`; unreachable vertices are absent."""
+def connected_components(g: UGraph) -> list[tuple[str, ...]]:
+    """Components as taxon tuples, each sorted, listed by first member."""
     taxa = g.taxa.taxa
-    dist = {}
-    seen = frontier = 1 << g.taxa.index(source)
-    hops = 0
-    while frontier:
-        nxt = 0
-        for i in _members(frontier):
-            dist[taxa[i]] = hops
-            nxt |= g.adj[i]
-        frontier = nxt & ~seen
-        seen |= frontier
-        hops += 1
-    return dist
+    return [tuple(taxa[i] for i in _members(comp)) for comp in _components(g.adj)]
 
 
 def _lexbfs(adj: list) -> list:
@@ -248,8 +236,8 @@ def is_ptolemaic(g: UGraph) -> bool:
     elimination ordering (else the graph is not chordal), the at most n
     maximal cliques are read off it, and each meeting pair gets one bitmask
     BFS in the graph minus P & Q.  The gem scan `contains_gem` and the
-    four-point distance oracle `ptolemy_inequality_holds` are references
-    and witness finders, not part of this decision.
+    four-point distance oracle `oracle.ptolemy_inequality_holds` are
+    references and witness finders, not part of this decision.
     """
     padj = _elimination_adjacency(g)
     if padj is None:
@@ -269,27 +257,6 @@ def is_ptolemaic(g: UGraph) -> bool:
     for p, q in combinations(cliques, 2):
         sep = p & q
         if sep and _reach(padj, p & ~sep, everything & ~sep) & q:
-            return False
-    return True
-
-
-def ptolemy_inequality_holds(g: UGraph) -> bool:
-    """Distance oracle: d(x,y)d(z,u) + d(x,u)d(y,z) >= d(x,z)d(y,u) for all
-    ordered vertex 4-tuples, with d the hop metric.
-
-    Tuples with a repeated vertex satisfy the inequality identically, and over
-    the orderings of four distinct vertices the system reduces to: the largest
-    of the three pair products is at most the sum of the other two.
-    """
-    if not is_connected(g):
-        raise DisconnectedGraphError("the four-point inequality needs a connected graph")
-    verts = g.taxa.taxa
-    dist = {v: bfs_distances(g, v) for v in verts}
-    for a, b, c, e in combinations(verts, 4):
-        p1 = dist[a][b] * dist[c][e]
-        p2 = dist[a][c] * dist[b][e]
-        p3 = dist[a][e] * dist[b][c]
-        if 2 * max(p1, p2, p3) > p1 + p2 + p3:
             return False
     return True
 

@@ -18,7 +18,7 @@ from .graphs import TaxonSet, UGraph, _members
 
 @dataclass(frozen=True)
 class Network:
-    """Validated network.  Build through `validate_network` or `from_digraph`."""
+    """Validated network.  Build through `validate_network`."""
 
     num_vertices: int
     arcs: tuple  # sorted (tail, head) pairs
@@ -267,31 +267,6 @@ def validate_network(
     )
 
 
-def from_digraph(
-    vertex_order: Sequence,
-    arcs: Iterable[tuple],
-    leaf_names: Mapping,
-    *,
-    taxa: Optional[TaxonSet] = None,
-    display_names: Optional[Mapping] = None,
-) -> Network:
-    """Relabel arbitrary hashable vertex keys to ids in `vertex_order` order
-    and validate.  Construction order is whatever order the caller fixed."""
-    ids = {key: i for i, key in enumerate(vertex_order)}
-    if len(ids) != len(vertex_order):
-        raise ValueError("duplicate vertex keys")
-    names = None
-    if display_names is not None:
-        names = [str(display_names.get(key, key)) for key in vertex_order]
-    return validate_network(
-        [(ids[u], ids[v]) for u, v in arcs],
-        {ids[v]: t for v, t in leaf_names.items()},
-        num_vertices=len(vertex_order),
-        taxa=taxa,
-        vertex_names=names,
-    )
-
-
 def h_tilde(net: Network) -> int:
     """Total excess indegree over the vertices with indegree >= 2."""
     return sum(net.indeg(v) - 1 for v in net.vertices() if net.indeg(v) >= 2)
@@ -368,14 +343,14 @@ def find_alternating_cycle(net: Network) -> Optional[AlternatingCycle]:
 
 
 def _contract_arcs(net: Network, fold: Iterable[tuple]) -> tuple:
-    """The quotient of `net` by the arcs in `fold`, as `(order, arcs, rep)`.
+    """The quotient of `net` by the arcs in `fold`, as `(quotient, ids)`.
 
     A union-find over the folded arcs merges their endpoints into classes.
     Each class is named by its largest member that no folded arc enters,
-    `rep[v]` is the name of `v`'s class, `order` lists the names by id, and
-    `arcs` holds the arcs between classes, named by their ends' classes.
-    On an arboreal network a class spans a subtree of the underlying tree,
-    so no arc outside `fold` joins two members of one class.
+    the classes are numbered in the order of their names, and `ids[v]` is
+    the number of `v`'s class.  On an arboreal network a class spans a
+    subtree of the underlying tree, so no arc outside `fold` joins two
+    members of one class.
     """
     up = list(net.vertices())
 
@@ -393,9 +368,15 @@ def _contract_arcs(net: Network, fold: Iterable[tuple]) -> tuple:
     for v in net.vertices():
         if v not in entered:
             name[find(v)] = v  # ids ascend, so the largest top is kept
-    rep = [name[find(v)] for v in net.vertices()]
-    arcs = [(rep[u], rep[v]) for u, v in net.arcs if rep[u] != rep[v]]
-    return sorted(name.values()), arcs, rep
+    rank = {top: i for i, top in enumerate(sorted(name.values()))}
+    ids = [rank[name[find(v)]] for v in net.vertices()]
+    quotient = validate_network(
+        [(ids[u], ids[v]) for u, v in net.arcs if ids[u] != ids[v]],
+        {ids[v]: t for v, t in net.leaves},
+        num_vertices=len(rank),
+        taxa=net.taxa,
+    )
+    return quotient, ids
 
 
 def cluster(net: Network, v: int) -> frozenset:

@@ -7,7 +7,7 @@ other.  Generators are deterministic functions of their parameters.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations, count, product
 from math import factorial
@@ -15,6 +15,7 @@ from string import ascii_lowercase
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
+    DisconnectedGraphError,
     GenerationExhaustedError,
     InvalidNetworkError,
     NotArborealError,
@@ -70,7 +71,6 @@ class GenParams:
 
 def _random_partition(rng: random.Random, items: list, k: int) -> list:
     """Split `items` into `k` non-empty blocks, uniformly over split points."""
-    assert 1 <= k <= len(items)
     pool = items[:]
     rng.shuffle(pool)
     cuts = sorted(rng.sample(range(1, len(pool)), k - 1))
@@ -421,6 +421,40 @@ def brute_is_chordal(g: UGraph) -> bool:
     return True
 
 
+def bfs_distances(g: UGraph, source: str) -> dict:
+    """Hop distances from `source`; unreachable vertices are absent."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def ptolemy_inequality_holds(g: UGraph) -> bool:
+    """Distance oracle: d(x,y)d(z,u) + d(x,u)d(y,z) >= d(x,z)d(y,u) for all
+    ordered vertex 4-tuples, with d the hop metric.
+
+    Tuples with a repeated vertex satisfy the inequality identically, and over
+    the orderings of four distinct vertices the system reduces to: the largest
+    of the three pair products is at most the sum of the other two.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError("the four-point inequality needs a connected graph")
+    verts = g.taxa.taxa
+    dist = {v: bfs_distances(g, v) for v in verts}
+    for a, b, c, e in combinations(verts, 4):
+        p1 = dist[a][b] * dist[c][e]
+        p2 = dist[a][c] * dist[b][e]
+        p3 = dist[a][e] * dist[b][c]
+        if 2 * max(p1, p2, p3) > p1 + p2 + p3:
+            return False
+    return True
+
+
 def is_ptolemaic_by_gem(g: UGraph) -> bool:
     """Forbidden-subgraph reference: chordal and no induced gem, by the
     O(n^5) scan of every 5-subset."""
@@ -460,19 +494,30 @@ def brute_transitive_reduction(sets: Iterable[frozenset]) -> frozenset:
 
 
 def subset_intersection_closure(sets: Iterable[frozenset]) -> frozenset:
-    """Non-empty intersections over every non-empty subfamily, directly."""
+    """Non-empty intersections over every non-empty subfamily, directly.
+
+    A depth-first walk visits each subfamily once, as an increasing run of
+    member positions, carrying the meet of the run as a bitmask over the
+    elements; no subfamily is skipped, whatever its meet.
+    """
     fam = [frozenset(s) for s in sets]
     if len(fam) > 20:
         raise TooLargeError("closure sweep capped at 20 members")
-    out = set()
-    for mask in range(1, 1 << len(fam)):
-        meet = None
-        for i, s in enumerate(fam):
-            if mask >> i & 1:
-                meet = s if meet is None else meet & s
-        if meet:
-            out.add(meet)
-    return frozenset(out)
+    elements = list(frozenset().union(*fam))
+    bits = [sum(1 << i for i, x in enumerate(elements) if x in s) for s in fam]
+    meets = set()
+    stack = [((1 << len(elements)) - 1, 0)]  # (meet of a run, next position)
+    while stack:
+        meet, start = stack.pop()
+        for j in range(start, len(bits)):
+            m = meet & bits[j]
+            meets.add(m)
+            if j + 1 < len(bits):
+                stack.append((m, j + 1))
+    meets.discard(0)
+    return frozenset(
+        frozenset(x for i, x in enumerate(elements) if m >> i & 1) for m in meets
+    )
 
 
 def _cliques_of_size_two_plus(g: UGraph) -> list:

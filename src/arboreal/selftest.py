@@ -22,7 +22,7 @@ from .cliques import (
     maximal_cliques,
     underlying_acyclic,
 )
-from .graphs import TaxonSet, UGraph, is_ptolemaic, ptolemy_inequality_holds
+from .graphs import TaxonSet, UGraph, is_ptolemaic
 from .networks import (
     cluster,
     find_alternating_cycle,
@@ -37,6 +37,7 @@ from .oracle import (
     enumerate_edge_clique_covers,
     enumerate_labelled_trees,
     is_ptolemaic_by_gem,
+    ptolemy_inequality_holds,
     random_connected_graph,
     random_labelled_network,
     random_network,

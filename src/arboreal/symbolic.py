@@ -28,6 +28,7 @@ from .errors import (
 from .graphs import (
     TaxonSet,
     UGraph,
+    _components,
     _members,
     connected_components,
     induced_subgraph,
@@ -39,7 +40,6 @@ from .networks import (
     Network,
     _cluster_masks,
     _contract_arcs,
-    from_digraph,
     is_arboreal,
     validate_network,
 )
@@ -374,24 +374,12 @@ def evaluate_map(ln: LabelledNetwork) -> SymbolicMap:
 def _fragments(value, group: tuple, m: str) -> list:
     # connected components of the pairs valued anything but m, each keeping
     # the group order, listed by first member
-    index = {t: i for i, t in enumerate(group)}
-    root = list(range(len(group)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for a, b in combinations(group, 2):
+    adj = [0] * len(group)
+    for (i, a), (j, b) in combinations(enumerate(group), 2):
         if value(a, b) != m:
-            ra, rb = find(index[a]), find(index[b])
-            if ra != rb:
-                root[rb] = ra
-    comps: dict = {}
-    for t in group:
-        comps.setdefault(find(index[t]), []).append(t)
-    return sorted((tuple(c) for c in comps.values()), key=lambda c: index[c[0]])
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return [tuple(group[i] for i in _members(comp)) for comp in _components(adj)]
 
 
 def _split_tree(value, group: tuple) -> tuple:
@@ -611,10 +599,8 @@ def make_discriminating(ln: LabelledNetwork) -> LabelledNetwork:
         raise NotArborealError("the collapse rules assume an arboreal network")
     before = evaluate_map(ln)
     fold = [(u, v) for u, v in net.arcs if _collapsible(ln, u, v)]
-    order, arcs, rep = _contract_arcs(net, fold)
-    new = from_digraph(order, arcs, dict(net.leaves), taxa=net.taxa)
-    ids = {v: i for i, v in enumerate(order)}
-    out = LabelledNetwork.build(new, {ids[rep[v]]: s for v, s in ln.labels})
+    new, ids = _contract_arcs(net, fold)
+    out = LabelledNetwork.build(new, {ids[v]: s for v, s in ln.labels})
     if not is_discriminating(out):
         raise ConstructionMismatchError("the collapsed network is not discriminating")
     if evaluate_map(out) != before:

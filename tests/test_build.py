@@ -21,7 +21,7 @@ from arboreal import (
     shared_ancestry_graph,
 )
 from arboreal import build
-from arboreal.networks import from_digraph
+from arboreal.networks import validate_network
 from arboreal.oracle import GenParams, random_arboreal_network, random_connected_graph
 
 
@@ -94,12 +94,12 @@ def test_cover_missing_a_taxon_cannot_connect():
 
 
 def test_cover_network_certifies_its_shared_ancestry(monkeypatch):
-    def misnamed(order, arcs, leaf_names, **kw):
+    def misnamed(arcs, leaf_names, **kw):
         # hang every taxon where the next one belongs
         names = list(leaf_names.values())
-        return from_digraph(order, arcs, dict(zip(leaf_names, names[1:] + names[:1])), **kw)
+        return validate_network(arcs, dict(zip(leaf_names, names[1:] + names[:1])), **kw)
 
-    monkeypatch.setattr(build, "from_digraph", misnamed)
+    monkeypatch.setattr(build, "validate_network", misnamed)
     path = UGraph.build("abc", [("a", "b"), ("b", "c")])
     with pytest.raises(ConstructionMismatchError):
         build_network_from_cover(path, maximal_cliques(path))
@@ -208,11 +208,11 @@ def contract_by_fixpoint(net):
             if changed:
                 break
 
-    order = sorted(kids)
-    return from_digraph(
-        order,
-        [(u, v) for u in order for v in sorted(kids[u])],
-        {v: net.taxon_of(v) for v in order if v in leaves},
+    ids = {v: i for i, v in enumerate(sorted(kids))}
+    return validate_network(
+        [(ids[u], ids[v]) for u in kids for v in kids[u]],
+        {ids[v]: net.taxon_of(v) for v in kids if v in leaves},
+        num_vertices=len(ids),
         taxa=net.taxa,
     )
 

@@ -13,7 +13,6 @@ from arboreal import (
     cluster,
     evaluate_map,
     find_alternating_cycle,
-    from_digraph,
     h_tilde,
     is_arboreal,
     maximal_cliques,
@@ -98,20 +97,6 @@ def test_validate_rejects_garbage_ids():
         validate_network(CHERRY_ARCS + CHERRY_ARCS[:1], CHERRY_LEAVES)
     with pytest.raises(ValueError):
         validate_network([], {})
-
-
-def test_from_digraph_relabels():
-    net = from_digraph(
-        ["r", "x", "y"],
-        [("r", "x"), ("r", "y")],
-        {"x": "a", "y": "b"},
-        display_names={"r": "root"},
-    )
-    assert net.num_vertices == 3
-    assert net.vertex_names == ("root", "x", "y")
-    assert sorted(t for _, t in net.leaves) == ["a", "b"]
-    with pytest.raises(ValueError):
-        from_digraph(["r", "r"], [], {})
 
 
 def test_degree_accessors(seven_taxa):

@@ -1,5 +1,7 @@
-"""The example scripts run to completion against the installed package."""
+"""The example scripts run to completion against the installed package, and
+stop with exit code 1 when one of their checks fails."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,3 +24,15 @@ def test_script_runs(argv):
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_demo_pipeline_exits_1_on_a_failed_check(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("demo_pipeline", ROOT / "scripts/demo_pipeline.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(demo, "shared_ancestry_graph", lambda net: None)
+    monkeypatch.setattr(sys, "argv", ["demo_pipeline.py"])
+    with pytest.raises(SystemExit) as exit_:
+        demo.main()
+    assert exit_.value.code == 1
+    assert "shared ancestry graph differs" in capsys.readouterr().err

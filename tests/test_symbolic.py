@@ -39,7 +39,7 @@ from arboreal import (
     verify_phi_bijection,
 )
 from arboreal import symbolic
-from arboreal.networks import from_digraph, validate_network
+from arboreal.networks import validate_network
 from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI, _canonical_form
 from arboreal.oracle import (
     GenParams,
@@ -453,9 +453,13 @@ def make_discriminating_by_folds(ln):
             break
         fold(*arc)
 
-    order = sorted(kids)
-    new = from_digraph(order, [(u, v) for u in order for v in kids[u]], leaves, taxa=net.taxa)
-    ids = {v: i for i, v in enumerate(order)}
+    ids = {v: i for i, v in enumerate(sorted(kids))}
+    new = validate_network(
+        [(ids[u], ids[v]) for u in kids for v in kids[u]],
+        {ids[v]: t for v, t in leaves.items()},
+        num_vertices=len(ids),
+        taxa=net.taxa,
+    )
     return LabelledNetwork.build(new, {ids[v]: s for v, s in labels.items()})
 
 
