@@ -12,6 +12,7 @@ import sys
 
 from arboreal import (
     LabelledNetwork,
+    build_network_from_cover,
     cluster,
     ecc_min,
     evaluate_map,
@@ -21,7 +22,6 @@ from arboreal import (
     is_arboreal,
     is_ptolemaic,
     make_discriminating,
-    maximal_cliques,
     shared_ancestry_graph,
     verify_phi_bijection,
 )
@@ -62,8 +62,6 @@ def main() -> None:
         "\n".join(" ".join(closure.member_sorted(m)) for m in closure),
     )
 
-    from arboreal import build_network_from_cover
-
     net = build_network_from_cover(g, cover)
     show(
         "network under the containment order",
@@ -85,17 +83,19 @@ def main() -> None:
     out = explain(d)
     if not isinstance(out, LabelledNetwork):
         fail(f"explain rejected a map read off a network: {out}")
+    if evaluate_map(out) != d:
+        fail("the explanation does not reproduce the map")
     show(
         "explained back",
-        f"{out.net.num_vertices} vertices, {out.net.root_count()} roots, "
-        f"round trip exact: {evaluate_map(out) == d}",
+        f"{out.net.num_vertices} vertices, {out.net.root_count()} roots, round trip exact",
     )
 
     nf = make_discriminating(ln)
+    if not verify_phi_bijection(nf):
+        fail("the normal form's clusters are not in bijection with the clique-module chains")
     show(
         "discriminating normal form",
-        f"{nf.net.num_vertices} vertices, bijection with clique-module chains: "
-        f"{verify_phi_bijection(nf)}",
+        f"{nf.net.num_vertices} vertices, bijection with clique-module chains checked",
     )
 
 

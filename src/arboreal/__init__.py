@@ -1,11 +1,9 @@
 """Arboreal phylogenetic networks, ptolemaic shared-ancestry graphs, and the
 symbolic maps they explain."""
 
-from .build import (
-    arboreal_representation,
-    build_network_from_cover,
-    contract_tree_arcs,
-)
+from types import ModuleType as _ModuleType
+
+from .build import arboreal_representation, build_network_from_cover
 from .cliques import (
     CliqueFamily,
     CoverDigraph,
@@ -79,5 +77,10 @@ from .symbolic import (
     verify_phi_bijection,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound while the package imports are not part of the API
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

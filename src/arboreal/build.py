@@ -20,16 +20,9 @@ from .errors import (
     DisconnectedGraphError,
     NoEdgesError,
     NotACoverError,
-    NotArborealError,
 )
 from .graphs import UGraph, _members, is_connected, is_ptolemaic
-from .networks import (
-    Network,
-    _contract_arcs,
-    is_arboreal,
-    shared_ancestry_graph,
-    validate_network,
-)
+from .networks import Network, shared_ancestry_graph, validate_network
 
 
 def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
@@ -45,7 +38,10 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     becomes that taxon's leaf.
 
     The roots are always cover members, and are exactly the cover iff the
-    cover is an antichain.  The result's shared-ancestry graph must equal
+    cover is an antichain.  Then every non-root member has two or more
+    parents: a member B with the single parent C lies in no cover member
+    that misses C, so the meet of the cover members holding B, which is B,
+    would hold C.  The result's shared-ancestry graph must equal
     `g`; `ConstructionMismatchError` reports a network that fails this.
     """
     if cover.over != g.taxa:
@@ -120,26 +116,3 @@ def arboreal_representation(g: UGraph) -> Optional[Network]:
     if not is_ptolemaic(g):
         return None
     return build_network_from_cover(g, maximal_cliques(g))
-
-
-def contract_tree_arcs(net: Network) -> Network:
-    """Contract away the branching-into-branching tree arcs.
-
-    Contracting an arc (u, v) where u has outdegree >= 2 and v is a non-leaf
-    vertex of indegree 1 merges v into u.  Indegrees never change under such
-    merges, and only a vertex of outdegree >= 2 gains children, so no merge
-    makes or unmakes another contractible arc (an outdegree-1 parent is a
-    hybrid and never changes).  The fixpoint is therefore one quotient by
-    the arcs contractible in the input.  Each folded head has indegree 1, so
-    every merged class has exactly one member that no folded arc enters, its
-    top, which names the class; the survivors keep their id order.  Leaf
-    set, root count and the shared-ancestry graph are unchanged.
-    """
-    if not is_arboreal(net):
-        raise NotArborealError("contraction is defined on arboreal networks")
-    fold = [
-        (u, v)
-        for u, v in net.arcs
-        if not net.is_leaf(v) and net.indeg(v) == 1 and net.outdeg(u) >= 2
-    ]
-    return _contract_arcs(net, fold)[0]

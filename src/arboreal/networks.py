@@ -174,16 +174,21 @@ def validate_network(
 ) -> Network:
     """Check the shape rules and build a `Network`.
 
-    Rules, in the order they are reported: the digraph is acyclic, the
-    underlying graph is connected, every indegree-0 vertex has outdegree >= 2,
-    every outdegree-0 vertex has indegree exactly 1, no vertex has indegree
-    and outdegree both 1, and `leaf_names` is a bijection from the
-    outdegree-0 vertices onto the taxa.
+    `vertex_names`, if given, must hold one string per vertex.  Rules, in
+    the order they are reported: the digraph is acyclic, the underlying
+    graph is connected, every indegree-0 vertex has outdegree >= 2, every
+    outdegree-0 vertex has indegree exactly 1, no vertex has indegree and
+    outdegree both 1, and `leaf_names` is a bijection from the outdegree-0
+    vertices onto the taxa.
     """
     arcs = [(int(u), int(v)) for u, v in arcs]
     mentioned = {u for u, _ in arcs} | {v for _, v in arcs} | set(leaf_names)
     if num_vertices is None:
         num_vertices = max(mentioned) + 1 if mentioned else 0
+    if vertex_names is not None and (
+        len(vertex_names) != num_vertices or not all(isinstance(x, str) for x in vertex_names)
+    ):
+        raise ValueError("names must hold one string per vertex")
     if num_vertices <= 0:
         raise ValueError("a network needs at least one vertex")
     for v in mentioned:

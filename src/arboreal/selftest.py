@@ -147,7 +147,9 @@ def _unique_minimum_cover(random_count: int = 0):
 
 
 def _cover_network_representation(random_count: int = 0):
-    """Every antichain cover represents its graph with the cover as roots."""
+    """Every antichain cover represents its graph with the cover as roots,
+    and every vertex that is neither a root nor a leaf has two or more
+    parents."""
     graphs = covers = bad = 0
     for n in range(2, 6):
         for g in enumerate_connected_graphs(n):
@@ -158,7 +160,9 @@ def _cover_network_representation(random_count: int = 0):
                 covers += 1
                 net = build_network_from_cover(g, CliqueFamily.build(g.taxa, sets))
                 root_sets = {cluster(net, r) for r in net.roots}
-                if shared_ancestry_graph(net) != g or root_sets != sets:
+                inner = (v for v in net.vertices() if not net.is_leaf(v))
+                one_parent = any(net.indeg(v) == 1 for v in inner)
+                if shared_ancestry_graph(net) != g or root_sets != sets or one_parent:
                     bad += 1
     return bad == 0, f"{covers} covers over {graphs} graphs, {bad} failures"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Optional, Union
 
-from .build import build_network_from_cover, contract_tree_arcs
+from .build import build_network_from_cover
 from .cliques import CliqueFamily, _is_clique_mask, intersection_closure, maximal_cliques
 from .errors import (
     AmbiguousSplitError,
@@ -442,13 +442,15 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
     """A labelled arboreal network explaining `d`, or the violation ruling
     one out.
 
-    The support graph is represented by an arboreal network and its internal
-    tree arcs are contracted, leaving every branching vertex with hybrid and
-    leaf children only.  The map then restricts to each branching vertex: its
-    value on two children is the value on any pair of leaves below them,
-    which is gap-free and tree-explainable, so every branching vertex can be
-    replaced by the tree explaining its local map.  The local labels
-    assemble into the global labelling, which must reproduce `d`.
+    The support graph is represented by the arboreal network hung under its
+    maximal cliques.  They form an antichain, so every vertex that is
+    neither a root nor a leaf is a hybrid, and each branching vertex has
+    hybrid and leaf children only.  The map then restricts to each
+    branching vertex: its value on two children is the value on any pair of
+    leaves below them, which is gap-free and tree-explainable, so every
+    branching vertex can be replaced by the tree explaining its local map.
+    The local labels assemble into the global labelling, which must
+    reproduce `d`.
     """
     g = graph_of_map(d)
     violation = _first_violation(d, g)
@@ -457,7 +459,7 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
 
     # g is connected and ptolemaic, so its maximal cliques hang an arboreal
     # network with one root each
-    nhat = contract_tree_arcs(build_network_from_cover(g, maximal_cliques(g)))
+    nhat = build_network_from_cover(g, maximal_cliques(g))
     # the smallest taxon below each vertex stands for its cluster
     rep = [(m & -m).bit_length() - 1 for m in _cluster_masks(nhat)]
     row = d._row

@@ -14,15 +14,13 @@ from arboreal import (
     arboreal_representation,
     build_network_from_cover,
     cluster,
-    contract_tree_arcs,
-    h_tilde,
     is_arboreal,
     maximal_cliques,
     shared_ancestry_graph,
 )
 from arboreal import build
 from arboreal.networks import validate_network
-from arboreal.oracle import GenParams, random_arboreal_network, random_connected_graph
+from arboreal.oracle import random_connected_graph
 
 
 def root_clusters(net):
@@ -139,94 +137,3 @@ def test_representations_realize_random_graphs(seed, n):
     if arb is not None:
         assert is_arboreal(arb)
         assert shared_ancestry_graph(arb) == g
-
-
-def test_contract_tree_arcs_merges_redundant_levels():
-    k4 = UGraph.build("abcd", [(a, b) for a in "abcd" for b in "abcd" if a < b])
-    fam = CliqueFamily.build(k4.taxa, [set("abcd"), set("ab")])
-    net = build_network_from_cover(k4, fam)
-    packed = contract_tree_arcs(net)
-    assert packed.num_vertices == 5  # one root over four leaves
-    assert packed.root_count() == 1
-    assert shared_ancestry_graph(packed) == k4
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_contraction_preserves_the_interesting_structure(seed):
-    p = GenParams(leaf_range=(3, 9), root_range=(1, 3), seed=seed)
-    net = random_arboreal_network(p)
-    packed = contract_tree_arcs(net)
-    assert shared_ancestry_graph(packed) == shared_ancestry_graph(net)
-    assert packed.root_count() == net.root_count()
-    assert h_tilde(packed) == h_tilde(net)
-    assert is_arboreal(packed)
-    # fixpoint: nothing left for a second pass
-    again = contract_tree_arcs(packed)
-    assert again.num_vertices == packed.num_vertices
-
-
-def contract_by_fixpoint(net):
-    # The contraction as a fixpoint loop: contract the first eligible arc in
-    # topological-then-id order, recompute the order, repeat until none is
-    # left.  Reference for the one-pass `contract_tree_arcs`.
-    kids = {v: set(net.children(v)) for v in net.vertices()}
-    pars = {v: set(net.parents(v)) for v in net.vertices()}
-    leaves = set(net.leaf_vertices)
-
-    def topo_order():
-        pending = {v: len(pars[v]) for v in kids}
-        ready = sorted((v for v in kids if not pending[v]), reverse=True)
-        out = []
-        while ready:
-            v = ready.pop()
-            out.append(v)
-            for c in sorted(kids[v], reverse=True):
-                pending[c] -= 1
-                if not pending[c]:
-                    ready.append(c)
-            ready.sort(reverse=True)
-        return out
-
-    changed = True
-    while changed:
-        changed = False
-        for u in topo_order():
-            if len(kids[u]) < 2:
-                continue
-            for v in sorted(kids[u]):
-                if v in leaves or len(pars[v]) != 1:
-                    continue
-                kids[u].discard(v)
-                for c in kids[v]:
-                    kids[u].add(c)
-                    pars[c].discard(v)
-                    pars[c].add(u)
-                del kids[v], pars[v]
-                changed = True
-                break
-            if changed:
-                break
-
-    ids = {v: i for i, v in enumerate(sorted(kids))}
-    return validate_network(
-        [(ids[u], ids[v]) for u in kids for v in kids[u]],
-        {ids[v]: net.taxon_of(v) for v in kids if v in leaves},
-        num_vertices=len(ids),
-        taxa=net.taxa,
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**6), st.booleans())
-def test_contraction_matches_the_fixpoint_loop(seed, from_graph):
-    p = GenParams(leaf_range=(3, 12), root_range=(1, 4), seed=seed)
-    net = random_arboreal_network(p)
-    if from_graph:
-        # the arboreal representation of a ptolemaic support graph, the
-        # input `explain` contracts
-        net = arboreal_representation(shared_ancestry_graph(net))
-    packed = contract_tree_arcs(net)
-    expected = contract_by_fixpoint(net)
-    assert packed == expected
-    assert packed.vertex_names == expected.vertex_names

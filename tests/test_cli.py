@@ -274,6 +274,10 @@ LABELLED_CHERRY = {**CHERRY, "labels": {"0": "A"}}
      "bad map document: each value row must be a list"),
     ("ptolemaic", {"taxa": ["a", "b"], "edges": ["ab"]},
      "bad graph document: each edge must be a list"),
+    ("sag", {**CHERRY, "names": "xyz"},
+     "bad network document: names must hold one string per vertex"),
+    ("sag", {**CHERRY, "names": ["x"], "leaves": {"1": 7, "2": "b"}},
+     "bad network document: leaf taxa must be strings"),
 ])
 def test_a_document_is_read_as_written(capsys, tmp_path, verb, doc, message):
     # no field is coerced: a float, a boolean, a short name list, a string

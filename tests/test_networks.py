@@ -99,6 +99,12 @@ def test_validate_rejects_garbage_ids():
         validate_network([], {})
 
 
+@pytest.mark.parametrize("names", [["r"], ["r", "a", "b", "c"], ["r", "a", 3]])
+def test_validate_wants_one_string_name_per_vertex(names):
+    with pytest.raises(ValueError, match="names must hold one string per vertex"):
+        validate_network(CHERRY_ARCS, CHERRY_LEAVES, vertex_names=names)
+
+
 def test_degree_accessors(seven_taxa):
     net = seven_taxa.net
     assert net.roots == (0, 1)
@@ -215,8 +221,10 @@ def test_shared_ancestry_matches_pairwise_ancestor_sets(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_any_shared_ancestry_clique_sits_below_one_vertex(seed):
-    p = GenParams(leaf_range=(3, 8), root_range=(1, 3), hybrid_bias=0.3, seed=seed)
-    net = random_network(p)
+    # Helly's property: on an arboreal network the ancestor sets of the taxa
+    # are subtrees of a tree, so pairwise meeting ones share a vertex
+    p = GenParams(leaf_range=(3, 8), root_range=(1, 3), seed=seed)
+    net = random_arboreal_network(p)
     g = shared_ancestry_graph(net)
     clusters = [cluster(net, v) for v in net.vertices()]
     for q in maximal_cliques(g):
@@ -224,3 +232,15 @@ def test_any_shared_ancestry_clique_sits_below_one_vertex(seed):
     for r in net.roots:
         assert maximal_cliques(g)  # connected graphs on >= 2 taxa have an edge
         assert cluster(net, r) in {c for c in clusters}
+
+
+def test_a_non_arboreal_network_can_hang_a_clique_below_no_vertex():
+    # Helly's property needs the arboreal hypothesis: in this valid network
+    # every two taxa of the clique share an ancestor, but no vertex lies
+    # above all five
+    p = GenParams(leaf_range=(3, 8), root_range=(1, 3), hybrid_bias=0.3, seed=3159)
+    net = random_network(p)
+    assert not is_arboreal(net)
+    q = frozenset({"t02", "t04", "t05", "t06", "t07"})
+    assert q in maximal_cliques(shared_ancestry_graph(net)).as_sets()
+    assert not any(q <= cluster(net, v) for v in net.vertices())

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from arboreal import LabelledNetwork, validate_network
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,13 +28,31 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_demo_pipeline_exits_1_on_a_failed_check(monkeypatch, capsys):
+def run_demo_with(monkeypatch, name, stub):
     spec = importlib.util.spec_from_file_location("demo_pipeline", ROOT / "scripts/demo_pipeline.py")
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    monkeypatch.setattr(demo, "shared_ancestry_graph", lambda net: None)
+    monkeypatch.setattr(demo, name, stub)
     monkeypatch.setattr(sys, "argv", ["demo_pipeline.py"])
     with pytest.raises(SystemExit) as exit_:
         demo.main()
-    assert exit_.value.code == 1
+    return exit_.value.code
+
+
+def test_demo_pipeline_exits_1_on_a_failed_check(monkeypatch, capsys):
+    assert run_demo_with(monkeypatch, "shared_ancestry_graph", lambda net: None) == 1
     assert "shared ancestry graph differs" in capsys.readouterr().err
+
+
+def _cherry_explanation(d):
+    net = validate_network([(0, 1), (0, 2)], {1: "a", 2: "b"})
+    return LabelledNetwork.build(net, {0: "A"})
+
+
+@pytest.mark.parametrize("name, stub, message", [
+    ("explain", _cherry_explanation, "does not reproduce the map"),
+    ("verify_phi_bijection", lambda nf: False, "not in bijection"),
+], ids=["round_trip", "phi_bijection"])
+def test_demo_pipeline_exits_1_when_a_printed_check_fails(monkeypatch, capsys, name, stub, message):
+    assert run_demo_with(monkeypatch, name, stub) == 1
+    assert message in capsys.readouterr().err

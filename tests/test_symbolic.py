@@ -266,10 +266,10 @@ def test_one_explain_runs_each_stage_once(seven_map, monkeypatch):
         "validate_network", "build_ultrametric_tree", "cluster",
     ])
     assert isinstance(explain(seven_map), LabelledNetwork)
-    # one network per construction stage: cover network, contraction, assembly
+    # one network per construction stage: cover network, assembly
     assert counts == {
         "graph_of_map": 1, "is_ptolemaic": 1, "shared_ancestry_graph": 1,
-        "evaluate_map": 1, "validate_network": 3,
+        "evaluate_map": 1, "validate_network": 2,
     }
 
 
