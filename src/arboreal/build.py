@@ -13,7 +13,6 @@ from .cliques import (
     cover_digraph,
     intersection_closure,
     is_edge_clique_cover,
-    maximal_cliques,
 )
 from .errors import (
     ConstructionMismatchError,
@@ -21,7 +20,7 @@ from .errors import (
     NoEdgesError,
     NotACoverError,
 )
-from .graphs import UGraph, _members, is_connected, is_ptolemaic
+from .graphs import UGraph, _members, _ptolemaic_pass, is_connected
 from .networks import Network, shared_ancestry_graph, validate_network
 
 
@@ -105,14 +104,16 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
 def arboreal_representation(g: UGraph) -> Optional[Network]:
     """An arboreal network whose shared-ancestry graph is `g`, or None.
 
-    Exists iff `g` is ptolemaic; then the family of maximal cliques is the
-    unique minimum edge clique cover and `build_network_from_cover` on it
-    lands in the arboreal case, with one root per maximal clique.
+    Exists iff `g` is ptolemaic; then its maximal cliques, read off the
+    LexBFS pass that decides this, are the unique minimum edge clique cover,
+    and `build_network_from_cover` on them lands in the arboreal case, with
+    one root per maximal clique.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("the graph must be connected")
     if not g.edge_count:
         raise NoEdgesError("need at least one edge")
-    if not is_ptolemaic(g):
+    cliques = _ptolemaic_pass(g)[1]
+    if cliques is None:
         return None
-    return build_network_from_cover(g, maximal_cliques(g))
+    return build_network_from_cover(g, CliqueFamily(g.taxa, tuple(cliques)))

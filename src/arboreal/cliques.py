@@ -71,7 +71,7 @@ class CoverDigraph:
     proper subset of A with nothing from the family strictly between."""
 
     family: CliqueFamily
-    arcs: tuple = ()  # sorted pairs of indices into family.sets
+    arcs: tuple = ()  # sorted pairs of indices into family.masks
 
 
 def _is_clique_mask(adj: list, mask: int) -> bool:

@@ -5,7 +5,6 @@ tie-break: canonical edge tuples, witness ordering, serialization.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
@@ -177,34 +176,80 @@ def _lexbfs(adj: list) -> list:
     return order
 
 
-def _elimination_adjacency(g: UGraph) -> Optional[list]:
-    """Adjacency bitmasks indexed by LexBFS visit position, or None when the
-    reversed visit order is not a perfect elimination ordering, which is
-    exactly when `g` is not chordal."""
-    order = _lexbfs(g.adj)
-    pos = [0] * len(order)
-    for i, v in enumerate(order):
-        pos[v] = i
-    padj = [sum(1 << pos[w] for w in _members(g.adj[v])) for v in order]
-    # The earlier-visited neighbors of each vertex, minus the latest of
-    # them, must all be adjacent to that latest one.
-    for i, nbrs in enumerate(padj):
-        earlier = nbrs & ((1 << i) - 1)
-        if earlier:
-            u = earlier.bit_length() - 1
-            if (earlier ^ (1 << u)) & ~padj[u]:
-                return None
-    return padj
+def _hole(g: UGraph, x: int, u: int, w: int) -> tuple:
+    # The cycle x closes with a shortest w-u path whose inner vertices avoid
+    # x's closed neighborhood, listed as `find_induced_hole` states.
+    adj = g.adj
+    allowed = ~(adj[x] | 1 << x) | 1 << u
+    layers, seen = [1 << w], 1 << w
+    while not seen >> u & 1:
+        nxt = 0
+        for a in _members(layers[-1]):
+            nxt |= adj[a]
+        nxt &= allowed & ~seen
+        if not nxt:
+            raise MissingWitnessError("the elimination ordering fails, yet no hole closes there")
+        layers.append(nxt)
+        seen |= nxt
+    cycle = [x, u]
+    for layer in reversed(layers[:-1]):
+        cycle.append(_members(adj[cycle[-1]] & layer)[0])
+    k = cycle.index(min(cycle))
+    cycle = cycle[k:] + cycle[:k]
+    cycle = min(cycle, cycle[:1] + cycle[:0:-1])
+    return tuple(g.taxa.taxa[i] for i in cycle)
+
+
+def _ptolemaic_pass(g: UGraph) -> tuple:
+    """(hole, cliques) from one LexBFS pass: `find_induced_hole(g)`, and
+    the set of `g`'s maximal cliques of two or more taxa as taxon masks when
+    `g` is ptolemaic, else None."""
+    adj = g.adj
+    order = _lexbfs(adj)
+    pos = {v: i for i, v in enumerate(order)}
+    # The earlier-visited neighbors of each vertex x, minus the latest of
+    # them, u, must all be adjacent to u.  Then x and its earlier-visited
+    # neighbors form a clique, and that of u is maximal unless it is x's
+    # earlier-visited neighbors (Blair-Peyton 1993).
+    cliques, before = set(), 0
+    for x in order:
+        earlier = adj[x] & before
+        before |= 1 << x
+        if not earlier:
+            continue
+        u = max(_members(earlier), key=pos.__getitem__)
+        missed = earlier & ~adj[u] & ~(1 << u)
+        if missed:
+            return _hole(g, x, u, min(_members(missed), key=pos.__getitem__)), None
+        cliques.discard(earlier)
+        cliques.add(earlier | 1 << x)
+    for p, q in combinations(cliques, 2):
+        sep = p & q
+        if sep and _reach(adj, p & ~sep, ~sep) & q:
+            return None, None
+    return None, cliques
 
 
 def is_chordal(g: UGraph) -> bool:
-    """True iff every cycle of length four or more has a chord.
+    """True iff every cycle of length four or more has a chord, that is,
+    iff the reversed LexBFS visit order is a perfect elimination ordering;
+    the pass that checks this is the one `find_induced_hole` reads."""
+    return _ptolemaic_pass(g)[0] is None
 
-    Runs lexicographic BFS and verifies that the reversed visit order is a
-    perfect elimination ordering: for each vertex, its earlier-visited
-    neighbors minus the latest of them must all be adjacent to that latest one.
+
+def find_induced_hole(g: UGraph) -> Optional[tuple[str, ...]]:
+    """Some chordless cycle of length >= 4 as a vertex tuple, else None.
+
+    When the reversed LexBFS visit order is no perfect elimination
+    ordering, take the first vertex x that fails, its latest earlier-visited
+    neighbor u, and its earliest earlier-visited neighbor w not adjacent to
+    u (Tarjan-Yannakakis 1984).  A shortest w-u path with its inner vertices
+    outside x's closed neighborhood has no chord and meets x only at its
+    ends, so with x it closes a hole.  The hole is listed from its lowest
+    taxon position towards the lower of that vertex's two cycle neighbors.
+    `MissingWitnessError` would mean no such path exists.
     """
-    return _elimination_adjacency(g) is not None
+    return _ptolemaic_pass(g)[0]
 
 
 def contains_gem(g: UGraph) -> Optional[tuple[str, ...]]:
@@ -232,33 +277,39 @@ def is_ptolemaic(g: UGraph) -> bool:
 
     Decided in polynomial time through Howorka's characterization (1981): a
     graph is ptolemaic iff for every two maximal cliques P, Q that meet,
-    P & Q separates P - Q from Q - P.  One LexBFS yields a perfect
-    elimination ordering (else the graph is not chordal), the at most n
-    maximal cliques are read off it, and each meeting pair gets one bitmask
-    BFS in the graph minus P & Q.  The gem scan `contains_gem` and the
-    four-point distance oracle `oracle.ptolemy_inequality_holds` are
-    references and witness finders, not part of this decision.
+    P & Q separates P - Q from Q - P.  The LexBFS pass that checks the
+    elimination ordering also reads off the at most n maximal cliques, and
+    each meeting pair gets one bitmask BFS in the graph minus P & Q.  The
+    gem scan `contains_gem` and the four-point distance oracle
+    `oracle.ptolemy_inequality_holds` are references and witness finders,
+    not part of this decision.
     """
-    padj = _elimination_adjacency(g)
-    if padj is None:
-        return False
-    # Each maximal clique is {v} plus v's earlier-visited neighbors for its
-    # last-visited member v; keep the candidates no larger one contains.
-    candidates = sorted(
-        (padj[i] & ((1 << i) - 1) | (1 << i) for i in range(len(padj))),
-        key=int.bit_count,
-        reverse=True,
-    )
-    cliques = []
-    for c in candidates:
-        if all(c & k != c for k in cliques):
-            cliques.append(c)
-    everything = (1 << len(padj)) - 1
-    for p, q in combinations(cliques, 2):
-        sep = p & q
-        if sep and _reach(padj, p & ~sep, everything & ~sep) & q:
-            return False
-    return True
+    return _ptolemaic_pass(g)[1] is not None
+
+
+def _witness_or_cliques(g: UGraph) -> tuple:
+    # ptolemaic_witness(g), and g's maximal cliques when that is None
+    hole, cliques = _ptolemaic_pass(g)
+    if hole is not None:
+        return ("hole", hole), None
+    if cliques is not None:
+        return None, cliques
+    gem = contains_gem(g)
+    if gem is None:
+        raise MissingWitnessError("chordal graph is not ptolemaic, yet has no induced gem")
+    return ("gem", gem), None
+
+
+def ptolemaic_witness(g: UGraph) -> Optional[tuple[str, tuple[str, ...]]]:
+    """None when `g` is ptolemaic, else ("hole", vertices) for a chordless
+    cycle or, when `g` is chordal, ("gem", vertices) for an induced gem.
+
+    The hole comes from the LexBFS pass that decides, as `find_induced_hole`
+    lists it; the gem scan runs only when that pass has rejected a chordal
+    graph.  Raises `MissingWitnessError` when neither finds anything, which
+    would mean the recognizer and the witness finders disagree.
+    """
+    return _witness_or_cliques(g)[0]
 
 
 def induced_subgraph(g: UGraph, subset: Iterable[str]) -> UGraph:
@@ -272,56 +323,3 @@ def induced_subgraph(g: UGraph, subset: Iterable[str]) -> UGraph:
     taxa = TaxonSet(tuple(g.taxa.taxa[i] for i in keep))
     adj = tuple(sum(1 << k for k, j in enumerate(keep) if g.adj[i] >> j & 1) for i in keep)
     return UGraph(taxa, adj)
-
-
-def find_induced_hole(g: UGraph) -> Optional[tuple[str, ...]]:
-    """Some chordless cycle of length >= 4 as a vertex tuple, else None.
-
-    For every vertex v with two non-adjacent neighbors a, b, a shortest a-b
-    path avoiding the rest of v's closed neighborhood closes a chordless
-    cycle through v; no such path anywhere means the graph is chordal.
-    """
-    taxa, adj = g.taxa.taxa, g.adj
-    everything = (1 << len(adj)) - 1
-    for v, row in enumerate(adj):
-        allowed = everything & ~(row | 1 << v)
-        for a, b in combinations(_members(row), 2):
-            if adj[a] >> b & 1:
-                continue
-            # breadth first from a, neighbours in position order
-            prev = {a: None}
-            seen = 1 << a
-            queue = deque([a])
-            while queue and b not in prev:
-                w = queue.popleft()
-                fresh = adj[w] & (allowed | 1 << b) & ~seen
-                seen |= fresh
-                for u in _members(fresh):
-                    prev[u] = w
-                    queue.append(u)
-            if b in prev:
-                path = [b]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return (taxa[v], *(taxa[i] for i in reversed(path)))
-    return None
-
-
-def ptolemaic_witness(g: UGraph) -> Optional[tuple[str, tuple[str, ...]]]:
-    """None when `g` is ptolemaic, else ("hole", vertices) for a chordless
-    cycle or, when `g` is chordal, ("gem", vertices) for an induced gem.
-
-    The polynomial `is_ptolemaic` decides; the witness searches run only
-    after it rejects.  Raises `MissingWitnessError` when neither finds
-    anything, which would mean the recognizer and the witness finders
-    disagree.
-    """
-    if is_ptolemaic(g):
-        return None
-    hole = find_induced_hole(g)
-    if hole is not None:
-        return ("hole", hole)
-    gem = contains_gem(g)
-    if gem is None:
-        raise MissingWitnessError("chordal graph is not ptolemaic, yet has no induced gem")
-    return ("gem", gem)

@@ -21,7 +21,7 @@ from .errors import (
     NotArborealError,
     TooLargeError,
 )
-from .graphs import TaxonSet, UGraph, contains_gem, is_chordal, is_connected
+from .graphs import TaxonSet, UGraph, contains_gem, is_connected
 from .networks import Network, is_arboreal, validate_network
 from .symbolic import LabelledNetwork, SymbolicMap
 
@@ -455,10 +455,39 @@ def ptolemy_inequality_holds(g: UGraph) -> bool:
     return True
 
 
+def hole_by_pair_search(g: UGraph) -> Optional[tuple[str, ...]]:
+    """Some chordless cycle of length >= 4 as a vertex tuple, else None.
+
+    For every vertex v with two non-adjacent neighbors a, b, a shortest a-b
+    path avoiding the rest of v's closed neighborhood closes a chordless
+    cycle through v; no such path anywhere means the graph is chordal.
+    """
+    for v in g.taxa:
+        around = g.neighbors(v) | {v}
+        for a, b in combinations(g.taxa.sorted(g.neighbors(v)), 2):
+            if g.has_edge(a, b):
+                continue
+            # breadth first from a, neighbours in taxon order
+            prev = {a: None}
+            queue = deque([a])
+            while queue and b not in prev:
+                w = queue.popleft()
+                for x in g.taxa.sorted(g.neighbors(w)):
+                    if x not in prev and (x == b or x not in around):
+                        prev[x] = w
+                        queue.append(x)
+            if b in prev:
+                path = [b]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return (v, *reversed(path))
+    return None
+
+
 def is_ptolemaic_by_gem(g: UGraph) -> bool:
-    """Forbidden-subgraph reference: chordal and no induced gem, by the
-    O(n^5) scan of every 5-subset."""
-    return is_chordal(g) and contains_gem(g) is None
+    """Forbidden-subgraph reference: no hole by the pair search and no
+    induced gem by the O(n^5) scan of every 5-subset."""
+    return hole_by_pair_search(g) is None and contains_gem(g) is None
 
 
 def brute_maximal_cliques(g: UGraph) -> frozenset:

@@ -189,7 +189,8 @@ def _hybrid_count_vs_roots(random_count: int = 10000):
 
 
 def _arboreal_representability(random_count: int = 0):
-    """A connected graph has an arboreal representation iff ptolemaic."""
+    """A connected graph has an arboreal representation iff ptolemaic, and
+    its roots are the clusters Bron-Kerbosch finds as maximal cliques."""
     checked = represented = bad = 0
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
@@ -203,7 +204,7 @@ def _arboreal_representability(random_count: int = 0):
             represented += 1
             if not (
                 is_arboreal(net)
-                and net.root_count() == len(maximal_cliques(g))
+                and {cluster(net, r) for r in net.roots} == maximal_cliques(g).as_sets()
                 and shared_ancestry_graph(net) == g
             ):
                 bad += 1

@@ -30,11 +30,11 @@ from .graphs import (
     UGraph,
     _components,
     _members,
+    _witness_or_cliques,
     connected_components,
     induced_subgraph,
     is_connected,
     is_ptolemaic,
-    ptolemaic_witness,
 )
 from .networks import (
     Network,
@@ -265,28 +265,28 @@ def check_arboreal_conditions(d: SymbolicMap) -> Optional[Violation]:
     almost-gap-free quadruple is consistent across its gap pair.  The checks
     run in that fixed order so the reported witness is deterministic.
     """
-    return _first_violation(d, graph_of_map(d))
+    return _first_violation(d, graph_of_map(d))[0]
 
 
-def _first_violation(d: SymbolicMap, g: UGraph) -> Optional[Violation]:
-    # the checks of `check_arboreal_conditions` on the support graph g of d
+def _first_violation(d: SymbolicMap, g: UGraph) -> tuple:
+    # check_arboreal_conditions(d), and g's maximal cliques once g is ptolemaic
     if not is_connected(g):
         comps = connected_components(g)
-        return Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components")
-    witness = ptolemaic_witness(g)
+        return Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components"), None
+    witness, cliques = _witness_or_cliques(g)
     if witness is not None:
         kind, vertices = witness
-        return Violation(NOT_PTOLEMAIC, vertices, _PTOLEMAIC_DETAIL[kind])
+        return Violation(NOT_PTOLEMAIC, vertices, _PTOLEMAIC_DETAIL[kind]), None
     triple = find_delta_violation(d)
     if triple is not None:
-        return Violation(DELTA, triple, "three distinct symbols on one triple")
+        return Violation(DELTA, triple, "three distinct symbols on one triple"), cliques
     quad = find_pi_violation(d)
     if quad is not None:
-        return Violation(PI, quad, "two symbols crossing on a quadruple")
+        return Violation(PI, quad, "two symbols crossing on a quadruple"), cliques
     quad = find_a4_violation(d)
     if quad is not None:
-        return Violation(A4, quad, "gap pair with disagreeing co-neighbors")
-    return None
+        return Violation(A4, quad, "gap pair with disagreeing co-neighbors"), cliques
+    return None, cliques
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +453,13 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
     reproduce `d`.
     """
     g = graph_of_map(d)
-    violation = _first_violation(d, g)
+    violation, cliques = _first_violation(d, g)
     if violation is not None:
         return violation
 
     # g is connected and ptolemaic, so its maximal cliques hang an arboreal
     # network with one root each
-    nhat = build_network_from_cover(g, maximal_cliques(g))
+    nhat = build_network_from_cover(g, CliqueFamily(g.taxa, tuple(cliques)))
     # the smallest taxon below each vertex stands for its cluster
     rep = [(m & -m).bit_length() - 1 for m in _cluster_masks(nhat)]
     row = d._row

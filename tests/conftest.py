@@ -1,6 +1,8 @@
 """Shared fixtures: small graphs, one hand-built two-root tree, and the
 serialized copies kept under fixtures/."""
 
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,29 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(functions)` wraps each function in every arboreal
+    namespace that binds it, since a module that imports a function calls it
+    through its own globals, and returns a Counter of calls by name."""
+
+    def install(functions):
+        counts = Counter()
+        for original in functions:
+            name = original.__name__
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for modname, module in list(sys.modules.items()):
+                if modname.split(".")[0] == "arboreal" and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return install
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from arboreal import (
     maximal_cliques,
     shared_ancestry_graph,
 )
-from arboreal import build
+from arboreal import build, graphs
 from arboreal.networks import validate_network
 from arboreal.oracle import random_connected_graph
 
@@ -103,13 +103,16 @@ def test_cover_network_certifies_its_shared_ancestry(monkeypatch):
         build_network_from_cover(path, maximal_cliques(path))
 
 
-def test_arboreal_representation_exists_exactly_for_ptolemaic(two_quads, c4, gem):
+def test_arboreal_representation_exists_exactly_for_ptolemaic(two_quads, c4, gem, count_calls):
+    counts = count_calls([graphs._lexbfs, maximal_cliques])
     net = arboreal_representation(two_quads)
     assert net is not None and is_arboreal(net)
     assert net.root_count() == 2
     assert shared_ancestry_graph(net) == two_quads
     assert arboreal_representation(c4) is None
     assert arboreal_representation(gem) is None
+    # one LexBFS pass per call decides and yields the roots; no Bron-Kerbosch
+    assert counts == {"_lexbfs": 3}
 
 
 def test_arboreal_representation_guards():

@@ -26,6 +26,7 @@ from arboreal.oracle import (
     GenParams,
     brute_is_chordal,
     enumerate_connected_graphs,
+    hole_by_pair_search,
     is_ptolemaic_by_gem,
     random_connected_graph,
     random_network,
@@ -179,19 +180,31 @@ def test_chordal_agrees_with_brute_force_random(seed, n):
     assert is_chordal(g) == brute_is_chordal(g)
 
 
+def assert_listed_hole(g, hole):
+    # an induced cycle of length >= 4, listed around the cycle from its
+    # lowest taxon position towards the lower of that vertex's neighbors
+    ring = induced_subgraph(g, hole)
+    assert len(set(hole)) == len(hole) >= 4
+    assert all(len(ring.neighbors(v)) == 2 for v in hole)
+    assert all(g.has_edge(a, b) for a, b in zip(hole, hole[1:] + hole[:1]))
+    pos = [g.taxa.index(v) for v in hole]
+    assert pos[0] == min(pos) and pos[1] < pos[-1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(4, 8))
 def test_hole_witnesses_verify(seed, n):
-    g = random_connected_graph(n, seed, edge_prob=0.35)
-    hole = find_induced_hole(g)
-    if hole is None:
-        assert is_chordal(g)
-        return
-    assert not is_chordal(g)
-    assert len(hole) >= 4
-    ring = induced_subgraph(g, hole)
-    assert all(len(ring.neighbors(v)) == 2 for v in hole)
-    assert is_connected(ring)
+    # a grown chordal graph with one extra edge (unless it is complete)
+    # often has a long hole
+    chordal = grown_chordal_graph(n, seed)
+    missing = [e for e in combinations(chordal.taxa, 2) if not chordal.has_edge(*e)]
+    extra = random.Random(seed).sample(missing, min(1, len(missing)))
+    grown = UGraph.build(chordal.taxa, chordal.sorted_edges() + extra)
+    for g in (random_connected_graph(n, seed, edge_prob=0.35), grown):
+        hole = find_induced_hole(g)
+        assert (hole is None) == is_chordal(g)
+        if hole is not None:
+            assert_listed_hole(g, hole)
 
 
 def test_ptolemaic_matches_gem_reference_on_every_small_graph():
@@ -204,6 +217,10 @@ def test_ptolemaic_matches_gem_reference_on_every_small_graph():
             g = UGraph.build(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
             verdict = is_ptolemaic(g)
             assert verdict == is_ptolemaic_by_gem(g), g.sorted_edges()
+            hole = find_induced_hole(g)
+            assert (hole is None) == (hole_by_pair_search(g) is None), g.sorted_edges()
+            if hole is not None:
+                assert_listed_hole(g, hole)
             checked += 1
             ptolemaic += verdict
     assert checked == 1 + 2 + 8 + 64 + 1024 + 32768

@@ -2,14 +2,12 @@
 
 import random
 import sys
-from collections import Counter
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import arboreal
 from arboreal import (
     GAP_GLYPH,
     ConstructionMismatchError,
@@ -34,11 +32,12 @@ from arboreal import (
     graph_of_map,
     is_discriminating,
     make_discriminating,
+    maximal_cliques,
     shared_ancestry_graph,
     strong_clique_modules,
     verify_phi_bijection,
 )
-from arboreal import symbolic
+from arboreal import graphs, symbolic
 from arboreal.networks import validate_network
 from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI, _canonical_form
 from arboreal.oracle import (
@@ -243,32 +242,16 @@ def test_explain_round_trips_the_fixture(seven_taxa, seven_map):
     assert are_isomorphic(out, seven_taxa)
 
 
-def count_calls(monkeypatch, names):
-    # wrap each named function in every arboreal namespace that binds it,
-    # since a module that imports a function calls it through its own globals
-    counts = Counter()
-    for name in names:
-        original = getattr(arboreal, name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for modname, module in list(sys.modules.items()):
-            if modname.split(".")[0] == "arboreal" and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
-    return counts
-
-
-def test_one_explain_runs_each_stage_once(seven_map, monkeypatch):
-    counts = count_calls(monkeypatch, [
-        "graph_of_map", "is_ptolemaic", "shared_ancestry_graph", "evaluate_map",
-        "validate_network", "build_ultrametric_tree", "cluster",
+def test_one_explain_runs_each_stage_once(seven_map, count_calls):
+    counts = count_calls([
+        graph_of_map, graphs._ptolemaic_pass, graphs._lexbfs, maximal_cliques,
+        shared_ancestry_graph, evaluate_map, validate_network, build_ultrametric_tree, cluster,
     ])
     assert isinstance(explain(seven_map), LabelledNetwork)
-    # one network per construction stage: cover network, assembly
+    # one LexBFS pass both checks and yields the cliques, so Bron-Kerbosch
+    # never runs; one network per construction stage: cover network, assembly
     assert counts == {
-        "graph_of_map": 1, "is_ptolemaic": 1, "shared_ancestry_graph": 1,
+        "graph_of_map": 1, "_ptolemaic_pass": 1, "_lexbfs": 1, "shared_ancestry_graph": 1,
         "evaluate_map": 1, "validate_network": 2,
     }
 
