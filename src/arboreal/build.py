@@ -20,7 +20,7 @@ from .errors import (
     NoEdgesError,
     NotACoverError,
 )
-from .graphs import UGraph, _members, _ptolemaic_pass, is_connected
+from .graphs import UGraph, _members, _ptolemaic_pass, _witness_or_cliques, is_connected
 from .networks import Network, shared_ancestry_graph, validate_network
 
 
@@ -109,11 +109,25 @@ def arboreal_representation(g: UGraph) -> Optional[Network]:
     and `build_network_from_cover` on them lands in the arboreal case, with
     one root per maximal clique.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("the graph must be connected")
-    if not g.edge_count:
-        raise NoEdgesError("need at least one edge")
+    _require_connected_edges(g)
     cliques = _ptolemaic_pass(g)[1]
     if cliques is None:
         return None
     return build_network_from_cover(g, CliqueFamily(g.taxa, tuple(cliques)))
+
+
+def _arboreal_or_witness(g: UGraph) -> tuple:
+    # (arboreal_representation(g), None), or (None, ptolemaic_witness(g))
+    # when g is not ptolemaic, from one LexBFS pass
+    _require_connected_edges(g)
+    witness, cliques = _witness_or_cliques(g)
+    if witness is not None:
+        return None, witness
+    return build_network_from_cover(g, CliqueFamily(g.taxa, tuple(cliques))), None
+
+
+def _require_connected_edges(g: UGraph):
+    if not is_connected(g):
+        raise DisconnectedGraphError("the graph must be connected")
+    if not g.edge_count:
+        raise NoEdgesError("need at least one edge")

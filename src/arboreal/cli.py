@@ -8,15 +8,16 @@ verdict with its witness on stdout, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import cache
 from typing import Optional
 
-from .build import arboreal_representation, build_network_from_cover
+from .build import _arboreal_or_witness, build_network_from_cover
 from .cliques import ecc_min, maximal_cliques
 from .errors import ArborealError, InputParseError
-from .graphs import UGraph, ptolemaic_witness
+from .graphs import ptolemaic_witness
 from .io import (
     graph_to_dot,
     labelled_to_dot,
@@ -116,9 +117,9 @@ def _do_evaluate(args) -> int:
 def _do_represent(args) -> int:
     g = parse_graph(load_json(_read(args.input)))
     if args.arboreal:
-        net = arboreal_representation(g)
+        net, witness = _arboreal_or_witness(g)
         if net is None:
-            _write(args.output, to_json(_ptolemaic_doc(g)))
+            _write(args.output, to_json(_witness_doc(witness)))
             return 1
     else:
         net = build_network_from_cover(g, maximal_cliques(g))
@@ -138,8 +139,7 @@ def _do_sag(args) -> int:
     return 0
 
 
-def _ptolemaic_doc(g: UGraph) -> dict:
-    witness = ptolemaic_witness(g)
+def _witness_doc(witness: Optional[tuple]) -> dict:
     if witness is None:
         return {"ptolemaic": True}
     kind, vertices = witness
@@ -148,7 +148,7 @@ def _ptolemaic_doc(g: UGraph) -> dict:
 
 def _do_ptolemaic(args) -> int:
     g = parse_graph(load_json(_read(args.input)))
-    doc = _ptolemaic_doc(g)
+    doc = _witness_doc(ptolemaic_witness(g))
     _write(args.output, to_json(doc))
     return 0 if doc["ptolemaic"] else 1
 
@@ -203,9 +203,12 @@ def _do_selftest(args) -> int:
         try:
             budget = float(budget_text)
         except ValueError:
+            budget = math.nan
+        if not math.isfinite(budget) or budget < 0:
             raise InputParseError(
-                f"ARBOREAL_SELFTEST_BUDGET must be seconds, got {budget_text!r}"
-            ) from None
+                "ARBOREAL_SELFTEST_BUDGET must be a non-negative number of seconds,"
+                f" got {budget_text!r}"
+            )
     results = run_all(budget)
     lines = [r.line() for r in results]
     failed = [r for r in results if not r.passed]

@@ -21,9 +21,29 @@ from .errors import (
     NotArborealError,
     TooLargeError,
 )
-from .graphs import TaxonSet, UGraph, contains_gem, is_connected
+from .graphs import (
+    TaxonSet,
+    UGraph,
+    connected_components,
+    contains_gem,
+    is_connected,
+    ptolemaic_witness,
+)
 from .networks import Network, is_arboreal, validate_network
-from .symbolic import LabelledNetwork, SymbolicMap
+from .symbolic import (
+    A4,
+    DELTA,
+    NOT_CONNECTED,
+    NOT_PTOLEMAIC,
+    PI,
+    LabelledNetwork,
+    SymbolicMap,
+    Violation,
+    find_a4_violation,
+    find_delta_violation,
+    find_pi_violation,
+    graph_of_map,
+)
 
 MAX_TRIES = 1000
 
@@ -631,6 +651,36 @@ def enumerate_antichain_covers(g: UGraph) -> frozenset:
 
     dig(0, ())
     return frozenset(found)
+
+
+def verdict_by_scans(d: SymbolicMap) -> Optional[Violation]:
+    """The first explainability condition `d` fails, decided by the scans
+    alone, or None: connectivity, then the ptolemaic witness, then the
+    delta, pi and a4 scans, in that order.
+
+    This is the reference for `symbolic.explain`, which decides by building
+    a network and scans only to name a witness; nothing here builds or
+    evaluates one.
+    """
+    g = graph_of_map(d)
+    comps = connected_components(g)
+    if len(comps) > 1:
+        return Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components")
+    witness = ptolemaic_witness(g)
+    if witness is not None:
+        kind, vertices = witness
+        shape = "chordless cycle" if kind == "hole" else "induced gem"
+        return Violation(NOT_PTOLEMAIC, vertices, f"{shape} in the support graph")
+    triple = find_delta_violation(d)
+    if triple is not None:
+        return Violation(DELTA, triple, "three distinct symbols on one triple")
+    quad = find_pi_violation(d)
+    if quad is not None:
+        return Violation(PI, quad, "two symbols crossing on a quadruple")
+    quad = find_a4_violation(d)
+    if quad is not None:
+        return Violation(A4, quad, "gap pair with disagreeing co-neighbors")
+    return None
 
 
 # -- inverse collapses --------------------------------------------------------

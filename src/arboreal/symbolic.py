@@ -33,7 +33,6 @@ from .graphs import (
     _witness_or_cliques,
     connected_components,
     induced_subgraph,
-    is_connected,
     is_ptolemaic,
 )
 from .networks import (
@@ -258,35 +257,30 @@ _PTOLEMAIC_DETAIL = {
 
 
 def check_arboreal_conditions(d: SymbolicMap) -> Optional[Violation]:
-    """The first reason no labelled arboreal network can explain `d`, or None.
+    """The verdict of `explain`: the first reason no labelled arboreal
+    network can explain `d`, or None.
 
     A map is explainable iff its support graph is connected and ptolemaic, no
     triple carries three symbols, no quadruple crosses two symbols, and every
-    almost-gap-free quadruple is consistent across its gap pair.  The checks
-    run in that fixed order so the reported witness is deterministic.
+    almost-gap-free quadruple is consistent across its gap pair; `explain`
+    decides the last three by building a network.
     """
-    return _first_violation(d, graph_of_map(d))[0]
+    out = explain(d)
+    return out if isinstance(out, Violation) else None
 
 
-def _first_violation(d: SymbolicMap, g: UGraph) -> tuple:
-    # check_arboreal_conditions(d), and g's maximal cliques once g is ptolemaic
-    if not is_connected(g):
-        comps = connected_components(g)
-        return Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components"), None
-    witness, cliques = _witness_or_cliques(g)
-    if witness is not None:
-        kind, vertices = witness
-        return Violation(NOT_PTOLEMAIC, vertices, _PTOLEMAIC_DETAIL[kind]), None
+def _scanned_violation(d: SymbolicMap) -> Violation:
+    # the first delta, pi or a4 witness of a map that `explain` failed to build
     triple = find_delta_violation(d)
     if triple is not None:
-        return Violation(DELTA, triple, "three distinct symbols on one triple"), cliques
+        return Violation(DELTA, triple, "three distinct symbols on one triple")
     quad = find_pi_violation(d)
     if quad is not None:
-        return Violation(PI, quad, "two symbols crossing on a quadruple"), cliques
+        return Violation(PI, quad, "two symbols crossing on a quadruple")
     quad = find_a4_violation(d)
     if quad is not None:
-        return Violation(A4, quad, "gap pair with disagreeing co-neighbors"), cliques
-    return None, cliques
+        return Violation(A4, quad, "gap pair with disagreeing co-neighbors")
+    raise ConstructionMismatchError("the construction fails, yet no scan finds a violation")
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +436,25 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
     """A labelled arboreal network explaining `d`, or the violation ruling
     one out.
 
-    The support graph is represented by the arboreal network hung under its
-    maximal cliques.  They form an antichain, so every vertex that is
-    neither a root nor a leaf is a hybrid, and each branching vertex has
-    hybrid and leaf children only.  The map then restricts to each
-    branching vertex: its value on two children is the value on any pair of
-    leaves below them, which is gap-free and tree-explainable, so every
-    branching vertex can be replaced by the tree explaining its local map.
-    The local labels assemble into the global labelling, which must
-    reproduce `d`.
+    A connected ptolemaic support graph is represented by the arboreal
+    network hung under its maximal cliques.  They form an antichain, so
+    every vertex that is neither a root nor a leaf is a hybrid, and each
+    branching vertex has hybrid and leaf children only.  Each branching
+    vertex is replaced by the tree explaining the map's restriction to its
+    children, valued on two children as on any pair of leaves below them.
+    By the paper's theorem `d` is explainable iff the assembly reproduces
+    it.  If not, or if a restriction has a gap or no tree, the delta, pi and
+    a4 scans only name the witness, in that fixed order;
+    `ConstructionMismatchError` means that none finds one.
     """
     g = graph_of_map(d)
-    violation, cliques = _first_violation(d, g)
-    if violation is not None:
-        return violation
+    comps = connected_components(g)
+    if len(comps) > 1:
+        return Violation(NOT_CONNECTED, comps[0], f"support graph has {len(comps)} components")
+    witness, cliques = _witness_or_cliques(g)
+    if witness is not None:
+        kind, vertices = witness
+        return Violation(NOT_PTOLEMAIC, vertices, _PTOLEMAIC_DETAIL[kind])
 
     # g is connected and ptolemaic, so its maximal cliques hang an arboreal
     # network with one root each
@@ -478,7 +477,10 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
         kids = nhat.children(v)
         if len(kids) < 2:
             continue
-        tree_arcs, tree_labels, members = _split_tree(local_value, kids)
+        try:
+            tree_arcs, tree_labels, members = _split_tree(local_value, kids)
+        except NotUltrametricError:
+            return _scanned_violation(d)
         ids = [v]
         for node in range(1, len(tree_arcs) + 1):
             if node in members:
@@ -491,9 +493,7 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
 
     net = validate_network(arcs, dict(nhat.leaves), num_vertices=fresh, taxa=d.taxa)
     out = LabelledNetwork.build(net, labels)
-    if evaluate_map(out) != d:
-        raise ConstructionMismatchError("assembled network fails to reproduce the map")
-    return out
+    return out if evaluate_map(out) == d else _scanned_violation(d)
 
 
 # ---------------------------------------------------------------------------

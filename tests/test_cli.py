@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from arboreal.cli import main
-from arboreal import SymbolicMap, TaxonSet, UGraph
+from arboreal import SymbolicMap, TaxonSet, UGraph, graphs
 from arboreal.io import load_json, parse_labelled, parse_map, serialize_graph, serialize_map, to_json
 from arboreal.selftest import CriterionResult
 
@@ -92,9 +92,12 @@ def test_represent_builds_a_network(capsys):
     assert doc["shared_ancestry_graph"]["taxa"] == list("123456")
 
 
-def test_represent_arboreal_flags_non_ptolemaic_graphs(capsys):
+def test_represent_arboreal_flags_non_ptolemaic_graphs(capsys, count_calls):
+    counts = count_calls([graphs._lexbfs])
     code, out, _ = run(capsys, "represent", "--arboreal", "--input", fix("c4.json"))
     assert code == 1
+    # the LexBFS pass that rejects the graph also names the hole
+    assert counts == {"_lexbfs": 1}
     doc = json.loads(out)
     assert doc["ptolemaic"] is False
     assert doc["witness"]["kind"] == "hole"
@@ -208,11 +211,13 @@ def test_selftest_formats_one_line_per_criterion(capsys, monkeypatch):
     assert "1/2" in lines[-1]
 
 
-def test_selftest_rejects_a_bad_budget(capsys, monkeypatch):
-    monkeypatch.setenv("ARBOREAL_SELFTEST_BUDGET", "soon")
-    code, _, err = run(capsys, "selftest")
-    assert code == 2
-    assert err.startswith("error:")
+@pytest.mark.parametrize("budget", ["soon", "nan", "-1"])
+def test_selftest_rejects_a_bad_budget(capsys, monkeypatch, budget):
+    monkeypatch.setattr("arboreal.cli.run_all", lambda budget=None: pytest.fail("ran"))
+    monkeypatch.setenv("ARBOREAL_SELFTEST_BUDGET", budget)
+    code, out, err = run(capsys, "selftest")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("verb, what, doc", [

@@ -45,6 +45,7 @@ from arboreal.oracle import (
     random_labelled_network,
     random_symbolic_map,
     random_uncollapse,
+    verdict_by_scans,
 )
 
 
@@ -166,16 +167,17 @@ def violation_kind(v):
 
 
 def test_every_reported_violation_rechecks(gem):
-    # all 729 maps over four taxa with values A, B or the gap, plus a map
-    # whose support is the gem and one with three symbols on a triple:
-    # between them they draw every kind of verdict
+    # all 4096 maps over four taxa with values A, B, C or the gap, plus a
+    # map whose support is the gem: between them they draw every kind of
+    # verdict, and the construction's verdict is the scans' on each
     taxa = TaxonSet.of("abcd")
-    maps = [SymbolicMap(taxa, values) for values in product(("A", "B", None), repeat=6)]
+    maps = [SymbolicMap(taxa, values) for values in product(("A", "B", "C", None), repeat=6)]
     maps.append(SymbolicMap.build(gem.taxa, {e: "A" for e in gem.sorted_edges()}))
-    maps.append(map_of("abc", {("a", "b"): "A", ("a", "c"): "B", ("b", "c"): "C"}))
     seen = set()
     for d in maps:
         v = check_arboreal_conditions(d)
+        out = explain(d)
+        assert v == (out if isinstance(out, Violation) else None) == verdict_by_scans(d)
         if v is not None:
             assert check_violation(d, v)
             seen.add(violation_kind(v))
@@ -242,17 +244,31 @@ def test_explain_round_trips_the_fixture(seven_taxa, seven_map):
     assert are_isomorphic(out, seven_taxa)
 
 
+SCANS = [find_delta_violation, find_pi_violation, find_a4_violation]
+
+
 def test_one_explain_runs_each_stage_once(seven_map, count_calls):
     counts = count_calls([
         graph_of_map, graphs._ptolemaic_pass, graphs._lexbfs, maximal_cliques,
         shared_ancestry_graph, evaluate_map, validate_network, build_ultrametric_tree, cluster,
+        *SCANS,
     ])
     assert isinstance(explain(seven_map), LabelledNetwork)
     # one LexBFS pass both checks and yields the cliques, so Bron-Kerbosch
-    # never runs; one network per construction stage: cover network, assembly
+    # never runs; one network per construction stage: cover network, assembly;
+    # the network reproducing the map accepts it, so no scan runs
     assert counts == {
         "graph_of_map": 1, "_ptolemaic_pass": 1, "_lexbfs": 1, "shared_ancestry_graph": 1,
         "evaluate_map": 1, "validate_network": 2,
+    }
+    counts.clear()
+    assert check_arboreal_conditions(seven_map) is None
+    assert not any(counts[scan.__name__] for scan in SCANS)
+    # a failed construction scans only up to the first witness
+    counts.clear()
+    assert explain(pi_violating_map()).kind == PI
+    assert {scan.__name__: counts[scan.__name__] for scan in SCANS} == {
+        "find_delta_violation": 1, "find_pi_violation": 1, "find_a4_violation": 0,
     }
 
 
