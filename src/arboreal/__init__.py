@@ -15,7 +15,6 @@ from .cliques import (
     underlying_acyclic,
 )
 from .errors import (
-    AmbiguousSplitError,
     ArborealError,
     ConstructionMismatchError,
     DisconnectedGraphError,
@@ -37,9 +36,7 @@ from .graphs import (
     UGraph,
     connected_components,
     contains_gem,
-    find_induced_hole,
     induced_subgraph,
-    is_chordal,
     is_connected,
     is_ptolemaic,
     ptolemaic_witness,

@@ -26,7 +26,27 @@ from .networks import Network, shared_ancestry_graph, validate_network
 
 def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     """The network hung under the containment order of `cover`'s
-    intersection closure.
+    intersection closure (`_hang_under_closure`), once `cover` is checked
+    to be an edge clique cover of `g`.  The network is validated, and its
+    shared-ancestry graph must equal `g`; `ConstructionMismatchError`
+    reports a network that fails this."""
+    if cover.over != g.taxa:
+        raise NotACoverError("cover and graph must share the taxon set")
+    if not is_edge_clique_cover(g, cover):
+        raise NotACoverError("the family does not cover the edges of the graph")
+    arcs, leaf_names, vertex_names, _ = _hang_under_closure(cover)
+    net = validate_network(
+        arcs, leaf_names, num_vertices=len(vertex_names), taxa=g.taxa, vertex_names=vertex_names
+    )
+    if shared_ancestry_graph(net) != g:
+        raise ConstructionMismatchError("the network's shared ancestry differs from the graph")
+    return net
+
+
+def _hang_under_closure(cover: CliqueFamily) -> tuple:
+    """(arcs, leaf_names, vertex_names, clusters) of the digraph hung under
+    the containment order of `cover`'s intersection closure, checking
+    nothing; `clusters[v]` is the taxon mask below vertex v.
 
     Vertices are the closure members ordered by containment (arcs point
     from superset to subset), plus a singleton vertex for each taxon that
@@ -34,28 +54,25 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
     contains the taxon minimally.  A closure member that stays a sink but
     has several parents cannot serve as a leaf itself, so it receives a
     fresh leaf child; every remaining sink carries exactly one taxon and
-    becomes that taxon's leaf.
+    becomes that taxon's leaf.  A member's taxa all lie below it, since the
+    least member holding a taxon lies inside every member holding it, so
+    each member vertex's cluster is the member.
 
     The roots are always cover members, and are exactly the cover iff the
     cover is an antichain.  Then every non-root member has two or more
     parents: a member B with the single parent C lies in no cover member
     that misses C, so the meet of the cover members holding B, which is B,
-    would hold C.  The result's shared-ancestry graph must equal
-    `g`; `ConstructionMismatchError` reports a network that fails this.
+    would hold C.
     """
-    if cover.over != g.taxa:
-        raise NotACoverError("cover and graph must share the taxon set")
-    if not is_edge_clique_cover(g, cover):
-        raise NotACoverError("the family does not cover the edges of the graph")
-
     closure = intersection_closure(cover)
-    masks, taxa = closure.masks, g.taxa.taxa
+    masks, taxa = closure.masks, cover.over.taxa
     # members first, in name order; then the single leaves, in taxon-name
     # order; then the fresh leaves, in member order
     names = [tuple(taxa[i] for i in _members(m)) for m in masks]
     order = sorted(range(len(masks)), key=names.__getitem__)
     vid = {a: k for k, a in enumerate(order)}
     vertex_names = ["".join(names[a]) for a in order]
+    clusters = [masks[a] for a in order]
     hasse = cover_digraph(closure).arcs
     arcs = [(vid[a], vid[b]) for a, b in hasse]
     # The closure is closed under intersection, so the members holding a
@@ -76,6 +93,7 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
         # reports the disconnection rather than dying here
         leaf_names[len(vertex_names)] = taxa[i]
         vertex_names.append(taxa[i])
+        clusters.append(1 << i)
 
     # A member of two or more taxa has a child (a smaller member or a taxon
     # it hosts), and a singleton member has none, so the singleton members
@@ -90,15 +108,10 @@ def build_network_from_cover(g: UGraph, cover: CliqueFamily) -> Network:
                 arcs.append((vid[a], len(vertex_names)))
                 leaf_names[len(vertex_names)] = t
                 vertex_names.append(t + "'")
+                clusters.append(masks[a])
             else:
                 leaf_names[vid[a]] = t
-
-    net = validate_network(
-        arcs, leaf_names, num_vertices=len(vertex_names), taxa=g.taxa, vertex_names=vertex_names
-    )
-    if shared_ancestry_graph(net) != g:
-        raise ConstructionMismatchError("the network's shared ancestry differs from the graph")
-    return net
+    return arcs, leaf_names, vertex_names, clusters
 
 
 def arboreal_representation(g: UGraph) -> Optional[Network]:

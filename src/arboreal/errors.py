@@ -45,13 +45,6 @@ class NotUltrametricError(ArborealError):
     """No labelled tree on the given taxa can produce the map."""
 
 
-class AmbiguousSplitError(ArborealError):
-    """Two distinct symbols both disconnect at a tree-building step.
-
-    This cannot happen for any symbolic map; reaching it means a bug.
-    """
-
-
 class ConstructionMismatchError(ArborealError):
     """A constructed network failed its own round-trip check (internal bug)."""
 

@@ -135,10 +135,11 @@ def is_connected(g: UGraph) -> bool:
     return _reach(g.adj, 1, everything) == everything
 
 
-def _components(adj) -> list:
-    """The components of the graph with neighbour bitmask rows `adj`, as
+def _components(adj, within: int = -1) -> list:
+    """The components of the graph with neighbour bitmask rows `adj`,
+    induced on the vertices of the bitmask `within` (all by default), as
     bitmasks, listed by lowest member."""
-    left = (1 << len(adj)) - 1
+    left = within & (1 << len(adj)) - 1
     comps = []
     while left:
         comp = _reach(adj, left & -left, left)
@@ -178,7 +179,7 @@ def _lexbfs(adj: list) -> list:
 
 def _hole(g: UGraph, x: int, u: int, w: int) -> tuple:
     # The cycle x closes with a shortest w-u path whose inner vertices avoid
-    # x's closed neighborhood, listed as `find_induced_hole` states.
+    # x's closed neighborhood, listed as `_ptolemaic_pass` states.
     adj = g.adj
     allowed = ~(adj[x] | 1 << x) | 1 << u
     layers, seen = [1 << w], 1 << w
@@ -201,9 +202,20 @@ def _hole(g: UGraph, x: int, u: int, w: int) -> tuple:
 
 
 def _ptolemaic_pass(g: UGraph) -> tuple:
-    """(hole, cliques) from one LexBFS pass: `find_induced_hole(g)`, and
-    the set of `g`'s maximal cliques of two or more taxa as taxon masks when
-    `g` is ptolemaic, else None."""
+    """(hole, cliques) from one LexBFS pass: some chordless cycle of length
+    >= 4 as a vertex tuple, else None; and the set of `g`'s maximal cliques
+    of two or more taxa as taxon masks when `g` is ptolemaic, else None.
+
+    `g` is chordal iff the reversed LexBFS visit order is a perfect
+    elimination ordering.  When it is not, take the first vertex x that
+    fails, its latest earlier-visited neighbor u, and its earliest
+    earlier-visited neighbor w not adjacent to u (Tarjan-Yannakakis 1984).
+    A shortest w-u path with its inner vertices outside x's closed
+    neighborhood has no chord and meets x only at its ends, so with x it
+    closes a hole.  The hole is listed from its lowest taxon position
+    towards the lower of that vertex's two cycle neighbors.
+    `MissingWitnessError` would mean no such path exists.
+    """
     adj = g.adj
     order = _lexbfs(adj)
     pos = {v: i for i, v in enumerate(order)}
@@ -228,28 +240,6 @@ def _ptolemaic_pass(g: UGraph) -> tuple:
         if sep and _reach(adj, p & ~sep, ~sep) & q:
             return None, None
     return None, cliques
-
-
-def is_chordal(g: UGraph) -> bool:
-    """True iff every cycle of length four or more has a chord, that is,
-    iff the reversed LexBFS visit order is a perfect elimination ordering;
-    the pass that checks this is the one `find_induced_hole` reads."""
-    return _ptolemaic_pass(g)[0] is None
-
-
-def find_induced_hole(g: UGraph) -> Optional[tuple[str, ...]]:
-    """Some chordless cycle of length >= 4 as a vertex tuple, else None.
-
-    When the reversed LexBFS visit order is no perfect elimination
-    ordering, take the first vertex x that fails, its latest earlier-visited
-    neighbor u, and its earliest earlier-visited neighbor w not adjacent to
-    u (Tarjan-Yannakakis 1984).  A shortest w-u path with its inner vertices
-    outside x's closed neighborhood has no chord and meets x only at its
-    ends, so with x it closes a hole.  The hole is listed from its lowest
-    taxon position towards the lower of that vertex's two cycle neighbors.
-    `MissingWitnessError` would mean no such path exists.
-    """
-    return _ptolemaic_pass(g)[0]
 
 
 def contains_gem(g: UGraph) -> Optional[tuple[str, ...]]:
@@ -304,7 +294,7 @@ def ptolemaic_witness(g: UGraph) -> Optional[tuple[str, tuple[str, ...]]]:
     """None when `g` is ptolemaic, else ("hole", vertices) for a chordless
     cycle or, when `g` is chordal, ("gem", vertices) for an induced gem.
 
-    The hole comes from the LexBFS pass that decides, as `find_induced_hole`
+    The hole comes from the LexBFS pass that decides, as `_ptolemaic_pass`
     lists it; the gem scan runs only when that pass has rejected a chordal
     graph.  Raises `MissingWitnessError` when neither finds anything, which
     would mean the recognizer and the witness finders disagree.

@@ -30,7 +30,7 @@ def parse_graph(doc) -> UGraph:
     _need_keys(doc, {"taxa", "edges"}, "graph")
     try:
         taxa = _list(doc["taxa"], "taxa")
-        return UGraph.build(taxa, [_list(e, "each edge") for e in doc["edges"]])
+        return UGraph.build(taxa, [_list(e, "each edge") for e in _list(doc["edges"], "edges")])
     except (ValueError, TypeError, UnknownTaxonError) as err:
         raise InputParseError(f"bad graph document: {err}") from None
 
@@ -50,7 +50,7 @@ def parse_network(doc) -> Network:
     _need_keys(doc, {"vertices", "arcs", "leaves"}, "network")
     try:
         leaves = {_vertex_id(v): t for v, t in doc["leaves"].items()}
-        arcs = [tuple(a) for a in doc["arcs"]]
+        arcs = [tuple(a) for a in _list(doc["arcs"], "arcs")]
         vertices, names = doc["vertices"], doc.get("names")
         # JSON integers only: int() would round 1.7 down and read true as 1
         if type(vertices) is not int or any(type(v) is not int for a in arcs for v in a):
@@ -96,7 +96,7 @@ def parse_map(doc) -> SymbolicMap:
     _need_keys(doc, {"taxa", "values"}, "map")
     try:
         values = {}
-        for row in doc["values"]:
+        for row in _list(doc["values"], "values"):
             a, b, value = _list(row, "each value row")
             values[(a, b)] = value
         taxa = TaxonSet.of(_list(doc["taxa"], "taxa"))

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Optional, Union
 
-from .build import build_network_from_cover
+from .build import _hang_under_closure
 from .cliques import CliqueFamily, _is_clique_mask, intersection_closure, maximal_cliques
 from .errors import (
-    AmbiguousSplitError,
     ConstructionMismatchError,
     NotArborealError,
     NotUltrametricError,
@@ -365,52 +364,52 @@ def evaluate_map(ln: LabelledNetwork) -> SymbolicMap:
 # Constructing explanations.
 
 
-def _fragments(value, group: tuple, m: str) -> list:
-    # connected components of the pairs valued anything but m, each keeping
-    # the group order, listed by first member
-    adj = [0] * len(group)
-    for (i, a), (j, b) in combinations(enumerate(group), 2):
-        if value(a, b) != m:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return [tuple(group[i] for i in _members(comp)) for comp in _components(adj)]
-
-
 def _split_tree(value, group: tuple) -> tuple:
     """The tree that `build_ultrametric_tree` grows, over the members of
     `group` (two or more) and the symmetric `value` on their pairs, as
     (arcs, labels, members): vertex 0 is the root and the rest follow in
     preorder, `labels` maps each branching vertex to its symbol and
-    `members` each leaf to its member of `group`."""
+    `members` each leaf to its member of `group`.
+
+    Each pair is read once, into one bitmask row per symbol over the
+    positions in `group`.  A part of the group is a mask of positions, and
+    its fragments for a symbol are the components of the pairs valued
+    anything else, listed by first member."""
+    k = len(group)
+    rows: dict = {}
+    for i, j in combinations(range(k), 2):
+        m = value(group[i], group[j])
+        if m is None:
+            raise NotUltrametricError("trees explain gap-free maps only")
+        if m not in rows:
+            rows[m] = [0] * k
+        row = rows[m]
+        row[i] |= 1 << j
+        row[j] |= 1 << i
+    everyone = (1 << k) - 1
+    others = [(m, [everyone & ~(r | 1 << i) for i, r in enumerate(rows[m])]) for m in sorted(rows)]
     arcs = []
     members = {}
     labels = {}
     counter = 0
-    # (parent, group) pairs; fragments are pushed in reverse so that they
+    # (parent, part) pairs; fragments are pushed in reverse so that they
     # pop in order, numbering the vertices in preorder
-    stack = [(None, group)]
+    stack = [(None, everyone)]
     while stack:
-        parent, group = stack.pop()
+        parent, part = stack.pop()
         node = counter
         counter += 1
         if parent is not None:
             arcs.append((parent, node))
-        if len(group) == 1:
-            members[node] = group[0]
+        if not part & part - 1:
+            members[node] = group[part.bit_length() - 1]
             continue
-        symbols = {value(a, b) for a, b in combinations(group, 2)}
-        if None in symbols:
-            raise NotUltrametricError("trees explain gap-free maps only")
-        splitters = []
-        for m in sorted(symbols):
-            fragments = _fragments(value, group, m)
+        for m, adj in others:
+            fragments = _components(adj, part)
             if len(fragments) >= 2:
-                splitters.append((m, fragments))
-        if not splitters:
-            raise NotUltrametricError(f"no symbol splits {group}")
-        if len(splitters) > 1:
-            raise AmbiguousSplitError(f"several symbols split {group}")
-        m, fragments = splitters[0]
+                break
+        else:
+            raise NotUltrametricError(f"no symbol splits {tuple(group[i] for i in _members(part))}")
         labels[node] = m
         stack.extend((node, fragment) for fragment in reversed(fragments))
     return arcs, labels, members
@@ -419,13 +418,13 @@ def _split_tree(value, group: tuple) -> tuple:
 def build_ultrametric_tree(d: SymbolicMap) -> LabelledNetwork:
     """A labelled phylogenetic tree explaining a gap-free map.
 
-    At each level exactly one symbol m can split the current group: deleting
-    the pairs valued m must disconnect it.  The fragments become the subtrees
+    At each level some symbol m must split the current group: deleting the
+    pairs valued m must disconnect it.  The fragments become the subtrees
     and m the label at their join, so the pairs across fragments, which all
     carry m, meet exactly there.  No splitting symbol means no tree explains
-    the map.  Two splitting symbols cannot coexist (the pairs across two
-    fragments of one symbol keep the group connected for any other), so the
-    ambiguity error is a guard, never expected.
+    the map.  At most one symbol splits, since the pairs across two
+    fragments of one symbol keep the group connected for any other, so the
+    first in sorted order is the one.
     """
     arcs, labels, members = _split_tree(d.value, d.taxa.taxa)
     net = validate_network(arcs, members, num_vertices=len(arcs) + 1, taxa=d.taxa)
@@ -443,8 +442,10 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
     vertex is replaced by the tree explaining the map's restriction to its
     children, valued on two children as on any pair of leaves below them.
     By the paper's theorem `d` is explainable iff the assembly reproduces
-    it.  If not, or if a restriction has a gap or no tree, the delta, pi and
-    a4 scans only name the witness, in that fixed order;
+    it, and only the assembly is validated and certified: a pair has a
+    value iff it has a common ancestor, so reproducing `d` also certifies
+    the shared ancestry.  If not, or if a restriction has a gap or no tree,
+    the delta, pi and a4 scans only name the witness, in that fixed order;
     `ConstructionMismatchError` means that none finds one.
     """
     g = graph_of_map(d)
@@ -458,27 +459,29 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
 
     # g is connected and ptolemaic, so its maximal cliques hang an arboreal
     # network with one root each
-    nhat = build_network_from_cover(g, CliqueFamily(g.taxa, tuple(cliques)))
+    hung, leaves, _, clusters = _hang_under_closure(CliqueFamily(g.taxa, tuple(cliques)))
+    kids = [[] for _ in clusters]
+    for u, v in hung:
+        kids[u].append(v)
     # the smallest taxon below each vertex stands for its cluster
-    rep = [(m & -m).bit_length() - 1 for m in _cluster_masks(nhat)]
+    rep = [(m & -m).bit_length() - 1 for m in clusters]
     row = d._row
 
     def local_value(wa: int, wb: int):
         i, j = rep[wa], rep[wb]
         return d.entries[row[i] + j] if i < j else d.entries[row[j] + i]
 
-    # the vertices of nhat keep their ids; each local tree's root is its
+    # the hung vertices keep their ids; each local tree's root is its
     # branching vertex, its leaves the children, and its inner vertices
     # take fresh ids in turn
-    arcs = [(u, v) for u, v in nhat.arcs if nhat.outdeg(u) == 1]
+    arcs = [(u, v) for u, v in hung if len(kids[u]) == 1]
     labels = {}
-    fresh = nhat.num_vertices
-    for v in nhat.vertices():
-        kids = nhat.children(v)
-        if len(kids) < 2:
+    fresh = len(clusters)
+    for v, below in enumerate(kids):
+        if len(below) < 2:
             continue
         try:
-            tree_arcs, tree_labels, members = _split_tree(local_value, kids)
+            tree_arcs, tree_labels, members = _split_tree(local_value, tuple(sorted(below)))
         except NotUltrametricError:
             return _scanned_violation(d)
         ids = [v]
@@ -491,7 +494,7 @@ def explain(d: SymbolicMap) -> Union[LabelledNetwork, Violation]:
         arcs += [(ids[p], ids[c]) for p, c in tree_arcs]
         labels.update((ids[node], sym) for node, sym in tree_labels.items())
 
-    net = validate_network(arcs, dict(nhat.leaves), num_vertices=fresh, taxa=d.taxa)
+    net = validate_network(arcs, leaves, num_vertices=fresh, taxa=d.taxa)
     out = LabelledNetwork.build(net, labels)
     return out if evaluate_map(out) == d else _scanned_violation(d)
 

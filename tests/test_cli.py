@@ -283,11 +283,18 @@ LABELLED_CHERRY = {**CHERRY, "labels": {"0": "A"}}
      "bad network document: names must hold one string per vertex"),
     ("sag", {**CHERRY, "names": ["x"], "leaves": {"1": 7, "2": "b"}},
      "bad network document: leaf taxa must be strings"),
+    ("check", {"taxa": ["a", "b"], "values": {}},
+     "bad map document: values must be a list"),
+    ("ptolemaic", {"taxa": ["a", "b"], "edges": {}},
+     "bad graph document: edges must be a list"),
+    ("sag", {**CHERRY, "arcs": {}},
+     "bad network document: arcs must be a list"),
 ])
 def test_a_document_is_read_as_written(capsys, tmp_path, verb, doc, message):
     # no field is coerced: a float, a boolean, a short name list, a string
-    # for a list, a non-string taxon or label, or a vertex key not written as
-    # a plain integer is refused rather than read as something else
+    # or an object for a list, a non-string taxon or label, or a vertex key
+    # not written as a plain integer is refused rather than read as
+    # something else
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, verb, "--input", str(path))

@@ -14,13 +14,12 @@ from arboreal import (
     bfs_distances,
     connected_components,
     contains_gem,
-    find_induced_hole,
     induced_subgraph,
-    is_chordal,
     is_connected,
     is_ptolemaic,
     ptolemy_inequality_holds,
 )
+from arboreal import graphs
 from arboreal.networks import shared_ancestry_graph
 from arboreal.oracle import (
     GenParams,
@@ -33,6 +32,11 @@ from arboreal.oracle import (
     random_symbolic_map,
 )
 from arboreal.symbolic import graph_of_map
+
+
+def hole_of(g):
+    # the chordless cycle the LexBFS pass reports, or None when g is chordal
+    return graphs._ptolemaic_pass(g)[0]
 
 
 def complete_graph(taxa):
@@ -117,22 +121,22 @@ def test_induced_subgraph_drops_outside_edges(two_quads):
 
 
 def test_chordality_of_small_standards(c4, c5, two_quads):
-    assert not is_chordal(c4)
-    assert not is_chordal(c5)
-    assert is_chordal(two_quads)
-    assert is_chordal(path_graph("abcde"))
-    assert is_chordal(complete_graph("abcd"))
+    assert hole_of(c4) is not None
+    assert hole_of(c5) is not None
+    assert hole_of(two_quads) is None
+    assert hole_of(path_graph("abcde")) is None
+    assert hole_of(complete_graph("abcd")) is None
 
 
 def test_hole_finder_returns_an_induced_cycle(c4, c5, two_quads):
     for g in (c4, c5):
-        hole = find_induced_hole(g)
+        hole = hole_of(g)
         assert hole is not None and len(hole) == len(g.taxa)
         assert set(hole) == set(g.taxa)
-    assert find_induced_hole(two_quads) is None
+    assert hole_of(two_quads) is None
     # a hole inside a larger graph: C4 with a pendant
     g = UGraph.build("wxyzp", [("w", "x"), ("x", "y"), ("y", "z"), ("z", "w"), ("p", "w")])
-    hole = find_induced_hole(g)
+    hole = hole_of(g)
     assert hole is not None and set(hole) == set("wxyz")
 
 
@@ -153,7 +157,7 @@ def test_ptolemaic_standards(c4, gem, two_quads):
     assert is_ptolemaic(path_graph("abcdef"))
     assert not is_ptolemaic(c4)       # a hole
     assert not is_ptolemaic(gem)      # chordal but gem-bearing
-    assert is_chordal(gem)
+    assert hole_of(gem) is None
 
 
 def test_metric_reading_matches_structure(c4, gem, two_quads):
@@ -170,14 +174,14 @@ def test_metric_reading_needs_connectivity():
 def test_chordal_agrees_with_brute_force_small():
     for n in range(2, 5):
         for g in enumerate_connected_graphs(n):
-            assert is_chordal(g) == brute_is_chordal(g)
+            assert (hole_of(g) is None) == brute_is_chordal(g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(5, 8))
 def test_chordal_agrees_with_brute_force_random(seed, n):
     g = random_connected_graph(n, seed)
-    assert is_chordal(g) == brute_is_chordal(g)
+    assert (hole_of(g) is None) == brute_is_chordal(g)
 
 
 def assert_listed_hole(g, hole):
@@ -201,8 +205,8 @@ def test_hole_witnesses_verify(seed, n):
     extra = random.Random(seed).sample(missing, min(1, len(missing)))
     grown = UGraph.build(chordal.taxa, chordal.sorted_edges() + extra)
     for g in (random_connected_graph(n, seed, edge_prob=0.35), grown):
-        hole = find_induced_hole(g)
-        assert (hole is None) == is_chordal(g)
+        hole = hole_of(g)
+        assert (hole is None) == brute_is_chordal(g)
         if hole is not None:
             assert_listed_hole(g, hole)
 
@@ -217,7 +221,7 @@ def test_ptolemaic_matches_gem_reference_on_every_small_graph():
             g = UGraph.build(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
             verdict = is_ptolemaic(g)
             assert verdict == is_ptolemaic_by_gem(g), g.sorted_edges()
-            hole = find_induced_hole(g)
+            hole = hole_of(g)
             assert (hole is None) == (hole_by_pair_search(g) is None), g.sorted_edges()
             if hole is not None:
                 assert_listed_hole(g, hole)

@@ -5,6 +5,7 @@ from pathlib import Path
 from types import ModuleType
 
 import arboreal
+from arboreal import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +28,20 @@ def test_no_guard_relies_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    # an error class outlives its purpose once no code raises it
+    raised = set()
+    for path in sorted((ROOT / "src" / "arboreal").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ArborealError)
+    }
+    assert len(classes) > 1
+    assert sorted(classes - {"ArborealError"} - raised) == []

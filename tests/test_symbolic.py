@@ -19,6 +19,7 @@ from arboreal import (
     TooLargeError,
     Violation,
     are_isomorphic,
+    build_network_from_cover,
     build_ultrametric_tree,
     check_arboreal_conditions,
     check_violation,
@@ -37,7 +38,7 @@ from arboreal import (
     strong_clique_modules,
     verify_phi_bijection,
 )
-from arboreal import graphs, symbolic
+from arboreal import graphs, networks, symbolic
 from arboreal.networks import validate_network
 from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI, _canonical_form
 from arboreal.oracle import (
@@ -251,15 +252,16 @@ def test_one_explain_runs_each_stage_once(seven_map, count_calls):
     counts = count_calls([
         graph_of_map, graphs._ptolemaic_pass, graphs._lexbfs, maximal_cliques,
         shared_ancestry_graph, evaluate_map, validate_network, build_ultrametric_tree, cluster,
-        *SCANS,
+        build_network_from_cover, networks._cluster_masks, *SCANS,
     ])
     assert isinstance(explain(seven_map), LabelledNetwork)
     # one LexBFS pass both checks and yields the cliques, so Bron-Kerbosch
-    # never runs; one network per construction stage: cover network, assembly;
-    # the network reproducing the map accepts it, so no scan runs
+    # never runs; the cover network is built unchecked, and only the
+    # assembly is validated and certified, by reproducing the map, so no
+    # scan runs
     assert counts == {
-        "graph_of_map": 1, "_ptolemaic_pass": 1, "_lexbfs": 1, "shared_ancestry_graph": 1,
-        "evaluate_map": 1, "validate_network": 2,
+        "graph_of_map": 1, "_ptolemaic_pass": 1, "_lexbfs": 1, "evaluate_map": 1,
+        "validate_network": 1, "_cluster_masks": 1,
     }
     counts.clear()
     assert check_arboreal_conditions(seven_map) is None
@@ -582,3 +584,19 @@ def test_build_a_deep_caterpillar_tree_under_a_low_recursion_limit():
         sys.setrecursionlimit(limit)
     assert tree.net.num_vertices == 2 * n - 1
     assert evaluate_map(tree) == d
+
+
+def test_a_local_tree_reads_each_pair_once():
+    # alternating symbols down a 60-member caterpillar: 59 levels, each
+    # splitting off one member
+    n = 60
+    reads = []
+
+    def value(a, b):
+        reads.append(frozenset((a, b)))
+        return "AB"[min(a, b) % 2]
+
+    arcs, labels, members = symbolic._split_tree(value, tuple(range(n)))
+    assert len(reads) == len(set(reads)) == n * (n - 1) // 2
+    assert len(arcs) == 2 * n - 2 and len(labels) == n - 1
+    assert sorted(members.values()) == list(range(n))
