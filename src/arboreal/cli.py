@@ -37,7 +37,6 @@ from .io import (
 )
 from .networks import shared_ancestry_graph
 from .oracle import GenParams, random_labelled_network, random_symbolic_map
-from .selftest import run_all
 from .symbolic import (
     SymbolicMap,
     Violation,
@@ -209,6 +208,10 @@ def _do_selftest(args) -> int:
                 "ARBOREAL_SELFTEST_BUDGET must be a non-negative number of seconds,"
                 f" got {budget_text!r}"
             )
+    # imported here: every command pays for what `arboreal.cli` imports,
+    # and no other verb runs the suites
+    from .selftest import run_all
+
     results = run_all(budget)
     lines = [r.line() for r in results]
     failed = [r for r in results if not r.passed]

@@ -243,22 +243,33 @@ def _ptolemaic_pass(g: UGraph) -> tuple:
 
 
 def contains_gem(g: UGraph) -> Optional[tuple[str, ...]]:
-    """First five vertices (canonical order) inducing a gem, else None.
+    """Five vertices inducing a gem, in taxon order, else None.
 
     A gem is a four-vertex path plus an apex adjacent to all four path
-    vertices.  Five vertices induce one exactly when their induced degrees
-    are 2, 2, 3, 3, 4: the degree-4 vertex is the apex, and three edges on
-    the other four with degrees 1, 1, 2, 2 force a path.
+    vertices, so `g` has one exactly when some vertex's neighborhood induces
+    a four-vertex path.  The apex is the first such vertex in taxon order,
+    and the path a-b-c-d is read off its neighborhood: (b, c) is the first
+    edge there, in taxon order, with a neighbor a of b but not of c and a
+    neighbor d of c but not of b such that a and d are not adjacent; a and
+    d are the first such.  Each edge of a neighborhood costs a few bitmask
+    operations plus one per candidate a, so this is O(n^4) at worst.
 
-    This scans every 5-subset, O(n^5), and serves only to name a witness
-    once `is_ptolemaic` has rejected a chordal graph; the decision itself
-    never calls it.
+    This serves only to name a witness once `is_ptolemaic` has rejected a
+    chordal graph; the decision itself never calls it.
     """
     adj = g.adj
-    for sub in combinations(range(len(adj)), 5):
-        mask = sum(1 << i for i in sub)
-        if sorted((adj[i] & mask).bit_count() for i in sub) == [2, 2, 3, 3, 4]:
-            return tuple(g.taxa.taxa[i] for i in sub)
+    for v, around in enumerate(adj):
+        for b in _members(around):
+            for c in _members(adj[b] & around & -2 << b):
+                ends_b = adj[b] & around & ~adj[c] & ~(1 << c)
+                ends_c = adj[c] & around & ~adj[b] & ~(1 << b)
+                if not ends_b or not ends_c:
+                    continue
+                for a in _members(ends_b):
+                    far = ends_c & ~adj[a]
+                    if far:
+                        d = (far & -far).bit_length() - 1
+                        return tuple(g.taxa.taxa[i] for i in sorted((v, a, b, c, d)))
     return None
 
 
@@ -270,9 +281,9 @@ def is_ptolemaic(g: UGraph) -> bool:
     P & Q separates P - Q from Q - P.  The LexBFS pass that checks the
     elimination ordering also reads off the at most n maximal cliques, and
     each meeting pair gets one bitmask BFS in the graph minus P & Q.  The
-    gem scan `contains_gem` and the four-point distance oracle
-    `oracle.ptolemy_inequality_holds` are references and witness finders,
-    not part of this decision.
+    gem finder `contains_gem` names witnesses only, and the four-point
+    distance oracle `oracle.ptolemy_inequality_holds` is a reference; neither
+    is part of this decision.
     """
     return _ptolemaic_pass(g)[1] is not None
 
@@ -295,7 +306,7 @@ def ptolemaic_witness(g: UGraph) -> Optional[tuple[str, tuple[str, ...]]]:
     cycle or, when `g` is chordal, ("gem", vertices) for an induced gem.
 
     The hole comes from the LexBFS pass that decides, as `_ptolemaic_pass`
-    lists it; the gem scan runs only when that pass has rejected a chordal
+    lists it; the gem finder runs only when that pass has rejected a chordal
     graph.  Raises `MissingWitnessError` when neither finds anything, which
     would mean the recognizer and the witness finders disagree.
     """

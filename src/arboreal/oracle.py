@@ -25,7 +25,6 @@ from .graphs import (
     TaxonSet,
     UGraph,
     connected_components,
-    contains_gem,
     is_connected,
     ptolemaic_witness,
 )
@@ -39,9 +38,7 @@ from .symbolic import (
     LabelledNetwork,
     SymbolicMap,
     Violation,
-    find_a4_violation,
-    find_delta_violation,
-    find_pi_violation,
+    evaluate_map,
     graph_of_map,
 )
 
@@ -504,10 +501,27 @@ def hole_by_pair_search(g: UGraph) -> Optional[tuple[str, ...]]:
     return None
 
 
+def gem_by_subset_scan(g: UGraph) -> Optional[tuple[str, ...]]:
+    """First five vertices (canonical order) inducing a gem, else None.
+
+    A gem is a four-vertex path plus an apex adjacent to all four path
+    vertices.  Five vertices induce one exactly when their induced degrees
+    are 2, 2, 3, 3, 4: the degree-4 vertex is the apex, and three edges on
+    the other four with degrees 1, 1, 2, 2 force a path.  This scans every
+    5-subset, O(n^5).
+    """
+    adj = g.adj
+    for sub in combinations(range(len(adj)), 5):
+        mask = sum(1 << i for i in sub)
+        if sorted((adj[i] & mask).bit_count() for i in sub) == [2, 2, 3, 3, 4]:
+            return tuple(g.taxa.taxa[i] for i in sub)
+    return None
+
+
 def is_ptolemaic_by_gem(g: UGraph) -> bool:
     """Forbidden-subgraph reference: no hole by the pair search and no
     induced gem by the O(n^5) scan of every 5-subset."""
-    return hole_by_pair_search(g) is None and contains_gem(g) is None
+    return hole_by_pair_search(g) is None and gem_by_subset_scan(g) is None
 
 
 def brute_maximal_cliques(g: UGraph) -> frozenset:
@@ -653,10 +667,68 @@ def enumerate_antichain_covers(g: UGraph) -> frozenset:
     return frozenset(found)
 
 
+def delta_by_triple_scan(d: SymbolicMap) -> Optional[tuple]:
+    """First triple (canonical order) carrying three distinct symbols and no
+    gap, else None."""
+    for x, y, z in combinations(d.taxa.taxa, 3):
+        vals = {d.value(x, y), d.value(x, z), d.value(y, z)}
+        if None not in vals and len(vals) == 3:
+            return (x, y, z)
+    return None
+
+
+def pi_by_quad_scan(d: SymbolicMap) -> Optional[tuple]:
+    """Witness (x, y, z, u) with d(x,y)=d(y,z)=d(z,u) != d(z,x)=d(x,u)=d(u,y)
+    and no gap, from the first quadruple (canonical order), else None.
+
+    In a gap-free quadruple split 3/3 between two symbols, the pattern holds
+    exactly when one symbol class forms a path on the four taxa (three edges
+    with two endpoints); the other class is then its complement, which is
+    again a path crossing the first.
+    """
+    for quad in combinations(d.taxa.taxa, 4):
+        classes: dict = {}
+        for a, b in combinations(quad, 2):
+            classes.setdefault(d.value(a, b), []).append((a, b))
+        if None in classes or len(classes) != 2:
+            continue
+        pairs = classes[min(classes)]
+        if len(pairs) != 3:
+            continue
+        adj = {t: [] for t in quad}
+        for a, b in pairs:
+            adj[a].append(b)
+            adj[b].append(a)
+        ends = sorted(t for t in quad if len(adj[t]) == 1)
+        if len(ends) != 2:
+            continue  # a triangle plus an isolated taxon, or a star
+        x = ends[0]
+        y = adj[x][0]
+        z = next(t for t in adj[y] if t != x)
+        u = next(t for t in adj[z] if t != y)
+        return (x, y, z, u)
+    return None
+
+
+def a4_by_quad_scan(d: SymbolicMap) -> Optional[tuple]:
+    """Witness (x, y, z, u) whose only gap pair is {z, u} while x and y
+    disagree on z or on u, from the first quadruple (canonical order), else
+    None."""
+    for quad in combinations(d.taxa.taxa, 4):
+        gaps = [(a, b) for a, b in combinations(quad, 2) if d.value(a, b) is None]
+        if len(gaps) != 1:
+            continue
+        z, u = gaps[0]
+        x, y = (t for t in quad if t != z and t != u)
+        if d.value(x, z) != d.value(y, z) or d.value(x, u) != d.value(y, u):
+            return (x, y, z, u)
+    return None
+
+
 def verdict_by_scans(d: SymbolicMap) -> Optional[Violation]:
     """The first explainability condition `d` fails, decided by the scans
-    alone, or None: connectivity, then the ptolemaic witness, then the
-    delta, pi and a4 scans, in that order.
+    alone, or None: connectivity, then the ptolemaic witness, then this
+    module's delta, pi and a4 scans, in that order.
 
     This is the reference for `symbolic.explain`, which decides by building
     a network and scans only to name a witness; nothing here builds or
@@ -671,16 +743,136 @@ def verdict_by_scans(d: SymbolicMap) -> Optional[Violation]:
         kind, vertices = witness
         shape = "chordless cycle" if kind == "hole" else "induced gem"
         return Violation(NOT_PTOLEMAIC, vertices, f"{shape} in the support graph")
-    triple = find_delta_violation(d)
+    triple = delta_by_triple_scan(d)
     if triple is not None:
         return Violation(DELTA, triple, "three distinct symbols on one triple")
-    quad = find_pi_violation(d)
+    quad = pi_by_quad_scan(d)
     if quad is not None:
         return Violation(PI, quad, "two symbols crossing on a quadruple")
-    quad = find_a4_violation(d)
+    quad = a4_by_quad_scan(d)
     if quad is not None:
         return Violation(A4, quad, "gap pair with disagreeing co-neighbors")
     return None
+
+
+# -- planted violations -------------------------------------------------------
+
+PLANT_KINDS = ("hole", "gem", "delta", "pi", "a4")
+# hole plants need a support graph of diameter >= 3, gem and a4 plants need
+# gaps; delta plants need three symbols, the others use two so that no delta
+# can arise
+_PLANT_ROOTS = {"hole": (4, 8), "gem": (2, 6), "delta": (1, 6), "pi": (1, 6), "a4": (2, 6)}
+
+
+def _quad_pattern(value, quad: tuple) -> Optional[str]:
+    """"pi" or "a4" when the four taxa show that pattern under `value`,
+    else None."""
+    pairs = list(combinations(quad, 2))
+    vals = [value(a, b) for a, b in pairs]
+    gaps = [p for p, v in zip(pairs, vals) if v is None]
+    if len(gaps) == 1:
+        z, u = gaps[0]
+        x, y = (t for t in quad if t not in (z, u))
+        return "a4" if value(x, z) != value(y, z) or value(x, u) != value(y, u) else None
+    if gaps or len(set(vals)) != 2:
+        return None
+    degree = Counter(t for p, v in zip(pairs, vals) if v == vals[0] for t in p)
+    return "pi" if sorted(degree.values()) == [1, 1, 2, 2] else None
+
+
+def _plant(rng: random.Random, d: SymbolicMap, kind: str) -> Optional[SymbolicMap]:
+    """`d` with one pair changed so that it fails the condition `kind` and
+    none that `explain` tests earlier, or None when no pair does.
+
+    `d` is explainable, so every new hole, gem, delta, pi or a4 pattern
+    contains the changed pair {x, y}, and each test below looks only there.
+    A gap pair at support distance >= 3 closes a hole.  A gap pair at
+    distance 2 whose common neighbors W separate x from y keeps the support
+    chordal, and it closes a gem when some w in W sees a path a-x-y-b.
+    """
+    g = graph_of_map(d)
+    taxa = d.taxa.taxa
+    symbols = sorted({v for v in d.entries if v is not None})
+    pairs = list(d.taxa.pairs())
+    rng.shuffle(pairs)
+    for x, y in pairs:
+        old = d.value(x, y)
+        others = [t for t in taxa if t not in (x, y)]
+        if kind in ("hole", "gem"):
+            if old is not None:
+                continue
+            dist = bfs_distances(g, x).get(y)
+            if kind == "hole" and dist is not None and dist >= 3:
+                return _changed(d, x, y, rng.choice(symbols))
+            if kind == "gem" and dist == 2:
+                common = g.neighbors(x) & g.neighbors(y)
+                reached, stack = {x}, [x]
+                while stack:
+                    fresh = g.neighbors(stack.pop()) - common - reached
+                    reached |= fresh
+                    stack.extend(fresh)
+                if y in reached:
+                    continue
+                for w in sorted(common):
+                    ends_x = (g.neighbors(w) & g.neighbors(x)) - g.neighbors(y) - {y}
+                    ends_y = (g.neighbors(w) & g.neighbors(y)) - g.neighbors(x) - {x}
+                    if any(not g.has_edge(a, b) for a in ends_x for b in ends_y):
+                        return _changed(d, x, y, rng.choice(symbols))
+            continue
+        if old is None:
+            continue
+        if kind == "a4":
+            # a taxon u that only one of x and y sees, and a taxon that sees
+            # x, y and u, make an a4 pattern of any new value of d(x, y)
+            seen_x, seen_y = g.neighbors(x), g.neighbors(y)
+            if not any(seen_x & seen_y & g.neighbors(u) for u in (seen_x ^ seen_y) - {x, y}):
+                continue
+        for new in symbols:
+            if new == old:
+                continue
+            e = _changed(d, x, y, new)
+            delta = any(
+                len({new, e.value(x, z), e.value(y, z)} - {None}) == 3 for z in others
+            )
+            if kind == "delta":
+                if delta:
+                    return e
+                continue
+            if delta:
+                continue
+            quads = [(x, y, z, u) for z, u in combinations(others, 2)]
+            pi = any(_quad_pattern(e.value, q) == "pi" for q in quads)
+            if kind == "pi" and pi:
+                return e
+            if kind == "a4" and not pi and any(_quad_pattern(e.value, q) == "a4" for q in quads):
+                return e
+    return None
+
+
+def _changed(d: SymbolicMap, x: str, y: str, value) -> SymbolicMap:
+    entries = list(d.entries)
+    entries[list(d.taxa.pairs()).index(d.taxa.pair(x, y))] = value
+    return SymbolicMap(d.taxa, tuple(entries))
+
+
+def planted_map(n: int, kind: str, seed: int) -> SymbolicMap:
+    """A map of `n` taxa that fails the explainability condition `kind` (one
+    of `PLANT_KINDS`) and none that `explain` tests before it: the map of a
+    seeded `random_labelled_network` draw with one pair changed."""
+    if kind not in _PLANT_ROOTS:
+        raise ValueError(f"kind must be one of {PLANT_KINDS}, got {kind!r}")
+    rng = random.Random(seed)
+    for _ in range(MAX_TRIES):
+        p = GenParams(
+            leaf_range=(n, n),
+            root_range=_PLANT_ROOTS[kind],
+            symbol_count=3 if kind == "delta" else 2,
+            seed=rng.randrange(1 << 30),
+        )
+        planted = _plant(rng, evaluate_map(random_labelled_network(p)), kind)
+        if planted is not None:
+            return planted
+    raise GenerationExhaustedError(f"no {kind} plant within {MAX_TRIES} draws")
 
 
 # -- inverse collapses --------------------------------------------------------

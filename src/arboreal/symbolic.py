@@ -192,60 +192,171 @@ def check_violation(d: SymbolicMap, violation: Violation) -> bool:
     return False
 
 
+def _value_rows(d: SymbolicMap) -> tuple:
+    """(rows, gaps), read in one pass over `d.entries`: bit j of
+    `rows[s][i]` means d(i, j) = s, and bit j of `gaps[i]` means that
+    d(i, j) is the gap, for taxon positions i != j."""
+    n = len(d.taxa)
+    rows: dict = {}
+    gaps = [0] * n
+    for (i, j), v in zip(combinations(range(n), 2), d.entries):
+        if v is None:
+            row = gaps
+        else:
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = [0] * n
+        row[i] |= 1 << j
+        row[j] |= 1 << i
+    return rows, gaps
+
+
 def find_delta_violation(d: SymbolicMap) -> Optional[tuple]:
     """First triple (canonical order) carrying three distinct symbols and no
-    gap, else None."""
-    for x, y, z in combinations(d.taxa.taxa, 3):
-        vals = {d.value(x, y), d.value(x, z), d.value(y, z)}
-        if None not in vals and len(vals) == 3:
-            return (x, y, z)
+    gap, else None.
+
+    For each pair (x, y) in order, the valid third taxa z > y are those with
+    d(x, z) = t for a symbol t other than d(x, y) and d(y, z) neither the
+    gap, d(x, y) nor t: one bitmask per symbol, whose lowest bit is the
+    first triple."""
+    rows, gaps = _value_rows(d)
+    if len(rows) < 3:
+        return None
+    n = len(d.taxa)
+    everyone = (1 << n) - 1
+    pairs = zip(combinations(range(n), 2), d.entries)
+    for (x, y), s in pairs:
+        if s is None:
+            continue
+        off = rows[s][y] | gaps[y]
+        hits = 0
+        for t, row in rows.items():
+            if t != s:
+                hits |= row[x] & ~(off | row[y])
+        hits &= everyone & -2 << y
+        if hits:
+            taxa = d.taxa.taxa
+            return (taxa[x], taxa[y], taxa[(hits & -hits).bit_length() - 1])
     return None
 
 
 def find_pi_violation(d: SymbolicMap) -> Optional[tuple]:
     """Witness (x, y, z, u) with d(x,y)=d(y,z)=d(z,u) != d(z,x)=d(x,u)=d(u,y)
-    and no gap, else None.
+    and no gap, from the first quadruple (canonical order), else None.
 
-    In a gap-free quadruple split 3/3 between two symbols, the pattern holds
-    exactly when one symbol class forms a path on the four taxa (three edges
-    with two endpoints); the other class is then its complement, which is
-    again a path crossing the first.
+    A gap-free quadruple shows the pattern exactly when its pairs split 3/3
+    between two symbols, each class a path on the four taxa.  A sorted
+    triple (a, b, c) can start one only if it carries two symbols: s on two
+    pairs meeting at m, t on the pair of the other two, e and f.  A fourth
+    taxon q completes the two paths exactly when d(q, m) = t and q sees s at
+    one of e, f and t at the other, one bitmask whose lowest bit above c
+    gives the first quadruple.  Its witness runs along the class of the
+    smaller symbol, from the smaller end.
     """
-    for quad in combinations(d.taxa.taxa, 4):
-        classes: dict = {}
-        for a, b in combinations(quad, 2):
-            classes.setdefault(d.value(a, b), []).append((a, b))
-        if None in classes or len(classes) != 2:
-            continue
-        pairs = classes[min(classes)]
-        if len(pairs) != 3:
-            continue
-        adj = {t: [] for t in quad}
-        for a, b in pairs:
-            adj[a].append(b)
-            adj[b].append(a)
-        ends = sorted(t for t in quad if len(adj[t]) == 1)
-        if len(ends) != 2:
-            continue  # a triangle plus an isolated taxon, or a star
-        x = ends[0]
-        y = adj[x][0]
-        z = next(t for t in adj[y] if t != x)
-        u = next(t for t in adj[z] if t != y)
-        return (x, y, z, u)
+    rows, gaps = _value_rows(d)
+    if len(rows) < 2:
+        return None
+    n = len(d.taxa)
+    everyone = (1 << n) - 1
+    entries, row = d.entries, d._row
+    for a in range(n - 3):
+        for b in range(a + 1, n - 2):
+            vab = entries[row[a] + b]
+            if vab is None:
+                continue
+            for c in _members(~(gaps[a] | gaps[b]) & everyone & -2 << b):
+                vac, vbc = entries[row[a] + c], entries[row[b] + c]
+                if vab == vac:
+                    if vab == vbc:
+                        continue
+                    s, t, m, e, f = vab, vbc, a, b, c
+                elif vab == vbc:
+                    s, t, m, e, f = vab, vac, b, a, c
+                elif vac == vbc:
+                    s, t, m, e, f = vac, vab, c, a, b
+                else:
+                    continue
+                ss, tt = rows[s], rows[t]
+                hits = tt[m] & (ss[e] & tt[f] | tt[e] & ss[f]) & -2 << c
+                if hits:
+                    q = (hits & -hits).bit_length() - 1
+                    return _pi_path(d, tuple(d.taxa.taxa[i] for i in (a, b, c, q)))
     return None
+
+
+def _pi_path(d: SymbolicMap, quad: tuple) -> tuple:
+    # the pi witness on a quadruple showing the pattern: along the class of
+    # the smaller symbol, from its smaller end
+    classes: dict = {}
+    for a, b in combinations(quad, 2):
+        classes.setdefault(d.value(a, b), []).append((a, b))
+    adj = {t: [] for t in quad}
+    for a, b in classes[min(classes)]:
+        adj[a].append(b)
+        adj[b].append(a)
+    x = min(t for t in quad if len(adj[t]) == 1)
+    y = adj[x][0]
+    z = next(t for t in adj[y] if t != x)
+    u = next(t for t in adj[z] if t != y)
+    return (x, y, z, u)
 
 
 def find_a4_violation(d: SymbolicMap) -> Optional[tuple]:
     """Witness (x, y, z, u) whose only gap pair is {z, u} while x and y
-    disagree on z or on u, else None."""
-    for quad in combinations(d.taxa.taxa, 4):
-        gaps = [(a, b) for a, b in combinations(quad, 2) if d.value(a, b) is None]
-        if len(gaps) != 1:
-            continue
-        z, u = gaps[0]
-        x, y = (t for t in quad if t != z and t != u)
-        if d.value(x, z) != d.value(y, z) or d.value(x, u) != d.value(y, u):
-            return (x, y, z, u)
+    disagree on z or on u, from the first quadruple (canonical order), else
+    None.
+
+    For each sorted triple (a, b, c) with at most one gap pair, one bitmask
+    holds the fourth taxa q > c that complete the pattern.  If {i, j} is the
+    triple's gap pair and k its third taxon, q must see a symbol at a, b and
+    c that differs from d(k, i) at i or from d(k, j) at j.  If the triple
+    has no gap, {i, q} is the gap pair for one of its taxa i, and the other
+    two must disagree on i or on q.  The lowest bit gives the first
+    quadruple.
+    """
+    rows, gaps = _value_rows(d)
+    if not any(gaps):
+        return None
+    n = len(d.taxa)
+    everyone = (1 << n) - 1
+    entries, row = d.entries, d._row
+
+    def disagree(i: int, j: int) -> int:
+        # taxa valued by a symbol at both i and j, a different one at each
+        same = 0
+        for sym in rows.values():
+            same |= sym[i] & sym[j]
+        return ~(gaps[i] | gaps[j] | same)
+
+    for a in range(n - 3):
+        for b in range(a + 1, n - 2):
+            vab = entries[row[a] + b]
+            for c in range(b + 1, n - 1):
+                vac, vbc = entries[row[a] + c], entries[row[b] + c]
+                seen = ~(gaps[a] | gaps[b] | gaps[c])
+                if vab is None:
+                    if vac is None or vbc is None:
+                        continue
+                    hits = seen & ~(rows[vac][a] & rows[vbc][b])
+                elif vac is None:
+                    if vbc is None:
+                        continue
+                    hits = seen & ~(rows[vab][a] & rows[vbc][c])
+                elif vbc is None:
+                    hits = seen & ~(rows[vab][b] & rows[vac][c])
+                else:
+                    hits = (
+                        gaps[c] & (~gaps[a] & ~gaps[b] if vac != vbc else disagree(a, b))
+                        | gaps[b] & (~gaps[a] & ~gaps[c] if vab != vbc else disagree(a, c))
+                        | gaps[a] & (~gaps[b] & ~gaps[c] if vab != vac else disagree(b, c))
+                    )
+                hits &= everyone & -2 << c
+                if hits:
+                    q = (hits & -hits).bit_length() - 1
+                    quad = tuple(d.taxa.taxa[i] for i in (a, b, c, q))
+                    z, u = next(p for p in combinations(quad, 2) if d.value(*p) is None)
+                    x, y = (t for t in quad if t != z and t != u)
+                    return (x, y, z, u)
     return None
 
 

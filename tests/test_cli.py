@@ -202,7 +202,7 @@ def test_selftest_formats_one_line_per_criterion(capsys, monkeypatch):
         CriterionResult("always-green", True, "ok", 0.01),
         CriterionResult("always-red", False, "boom", 0.02),
     ]
-    monkeypatch.setattr("arboreal.cli.run_all", lambda budget=None: fakes)
+    monkeypatch.setattr("arboreal.selftest.run_all", lambda budget=None: fakes)
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     lines = out.strip().splitlines()
@@ -213,7 +213,7 @@ def test_selftest_formats_one_line_per_criterion(capsys, monkeypatch):
 
 @pytest.mark.parametrize("budget", ["soon", "nan", "-1"])
 def test_selftest_rejects_a_bad_budget(capsys, monkeypatch, budget):
-    monkeypatch.setattr("arboreal.cli.run_all", lambda budget=None: pytest.fail("ran"))
+    monkeypatch.setattr("arboreal.selftest.run_all", lambda budget=None: pytest.fail("ran"))
     monkeypatch.setenv("ARBOREAL_SELFTEST_BUDGET", budget)
     code, out, err = run(capsys, "selftest")
     assert (code, out) == (2, "")

@@ -25,6 +25,7 @@ from arboreal.oracle import (
     GenParams,
     brute_is_chordal,
     enumerate_connected_graphs,
+    gem_by_subset_scan,
     hole_by_pair_search,
     is_ptolemaic_by_gem,
     random_connected_graph,
@@ -281,7 +282,7 @@ def test_gem_scan_names_the_first_gem_on_every_small_graph():
     gems = 0
     for n in range(5, 7):
         for g in enumerate_connected_graphs(n):
-            found = contains_gem(g)
+            found = gem_by_subset_scan(g)
             assert found == first_gem_by_degrees(g), g.sorted_edges()
             gems += found is not None
     assert gems > 0
@@ -292,8 +293,53 @@ def test_gem_scan_names_the_first_gem_on_random_graphs():
     for seed in range(120):
         n = 7 + seed % 3
         for g in (random_connected_graph(n, seed, edge_prob=0.6), grown_chordal_graph(n, seed)):
-            found = contains_gem(g)
+            found = gem_by_subset_scan(g)
             assert found == first_gem_by_degrees(g), (seed, g.sorted_edges())
+            gems += found is not None
+    assert gems > 0
+
+
+def first_p4_apex(g):
+    # the first vertex whose neighborhood has four vertices inducing a path,
+    # i.e. three edges with degrees 1, 1, 2, 2
+    for v in g.taxa:
+        for four in combinations(g.taxa.sorted(g.neighbors(v)), 4):
+            degrees = sorted(sum(g.has_edge(a, b) for b in four) for a in four)
+            if degrees == [1, 1, 2, 2]:
+                return v
+    return None
+
+
+def assert_named_gem(g, found):
+    # `contains_gem` finds a gem exactly when the subset scan does, lists
+    # an induced one in taxon order, and hangs it on the first apex
+    apex = first_p4_apex(g)
+    assert (found is None) == (gem_by_subset_scan(g) is None) == (apex is None)
+    if found is None:
+        return
+    assert found == g.taxa.sorted(found) and len(set(found)) == 5
+    degrees = {v: sum(g.has_edge(v, w) for w in found) for v in found}
+    assert sorted(degrees.values()) == [2, 2, 3, 3, 4]
+    assert degrees[apex] == 4
+
+
+def test_gem_finder_hangs_the_first_apex_on_every_small_graph():
+    gems = 0
+    for n in range(5, 7):
+        for g in enumerate_connected_graphs(n):
+            found = contains_gem(g)
+            assert_named_gem(g, found)
+            gems += found is not None
+    assert gems > 0
+
+
+def test_gem_finder_hangs_the_first_apex_on_random_graphs():
+    gems = 0
+    for seed in range(120):
+        n = 7 + seed % 3
+        for g in (random_connected_graph(n, seed, edge_prob=0.6), grown_chordal_graph(n, seed)):
+            found = contains_gem(g)
+            assert_named_gem(g, found)
             gems += found is not None
     assert gems > 0
 

@@ -19,18 +19,21 @@ from arboreal import (
 from arboreal import oracle
 from arboreal.symbolic import LabelledNetwork
 from arboreal.oracle import (
+    PLANT_KINDS,
     GenParams,
     count_tree_shapes,
     enumerate_antichain_covers,
     enumerate_connected_graphs,
     enumerate_edge_clique_covers,
     enumerate_labelled_trees,
+    planted_map,
     random_arboreal_network,
     random_connected_graph,
     random_labelled_network,
     random_network,
     random_symbolic_map,
     random_uncollapse,
+    verdict_by_scans,
 )
 
 
@@ -203,3 +206,22 @@ def test_uncollapse_grows_but_keeps_the_map(seven_taxa):
     assert grown.net.num_vertices > seven_taxa.net.num_vertices
     assert evaluate_map(grown) == evaluate_map(seven_taxa)
     assert not is_discriminating(grown)
+
+
+@pytest.mark.parametrize("kind", PLANT_KINDS)
+def test_a_planted_map_fails_its_condition_first(kind):
+    # the scans-only verdict names the planted condition, by its witness
+    # for the two not-ptolemaic kinds
+    d = planted_map(12, kind, seed=4)
+    assert planted_map(12, kind, seed=4) == d
+    v = verdict_by_scans(d)
+    shape = {"hole": "chordless cycle", "gem": "induced gem"}
+    if kind in shape:
+        assert v.kind == "not-ptolemaic" and v.detail.startswith(shape[kind])
+    else:
+        assert v.kind == kind
+
+
+def test_planting_needs_a_known_kind():
+    with pytest.raises(ValueError):
+        planted_map(12, "cycle", seed=0)

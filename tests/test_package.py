@@ -1,6 +1,9 @@
 """The package's public names, and what its source may not rely on."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -45,3 +48,14 @@ def test_every_error_class_is_raised():
     }
     assert len(classes) > 1
     assert sorted(classes - {"ArborealError"} - raised) == []
+
+
+def test_the_cli_imports_the_selftest_suites_only_when_asked():
+    # a fresh `import arboreal.cli` is the start-up cost of every command
+    probe = "import sys, arboreal.cli; print('arboreal.selftest' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"

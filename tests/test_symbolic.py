@@ -42,7 +42,12 @@ from arboreal import graphs, networks, symbolic
 from arboreal.networks import validate_network
 from arboreal.symbolic import A4, DELTA, NOT_CONNECTED, NOT_PTOLEMAIC, PI, _canonical_form
 from arboreal.oracle import (
+    PLANT_KINDS,
     GenParams,
+    a4_by_quad_scan,
+    delta_by_triple_scan,
+    pi_by_quad_scan,
+    planted_map,
     random_labelled_network,
     random_symbolic_map,
     random_uncollapse,
@@ -192,6 +197,41 @@ def test_random_violations_recheck(seed):
     d = random_symbolic_map(p)
     v = check_arboreal_conditions(d)
     assert v is None or check_violation(d, v)
+
+
+# each bitmask scan and the quadruple scan it replaced, kept as a reference
+SCAN_TWINS = [
+    (find_delta_violation, delta_by_triple_scan),
+    (find_pi_violation, pi_by_quad_scan),
+    (find_a4_violation, a4_by_quad_scan),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(6, 12), st.sampled_from([2, 3]),
+       st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+def test_scans_name_the_reference_witness_on_random_maps(seed, n, symbols, gaps):
+    p = GenParams(leaf_range=(n, n), symbol_count=symbols, hybrid_bias=gaps, seed=seed)
+    d = random_symbolic_map(p)
+    for scan, reference in SCAN_TWINS:
+        assert scan(d) == reference(d), scan.__name__
+
+
+@pytest.mark.parametrize("kind", PLANT_KINDS)
+def test_scans_name_the_reference_witness_at_40_taxa(kind):
+    # an explainable map with one pair changed: every violation runs
+    # through that pair, so the scans run deep before they find one
+    d = planted_map(40, kind, seed=2)
+    for scan, reference in SCAN_TWINS:
+        assert scan(d) == reference(d), scan.__name__
+
+
+@pytest.mark.parametrize("kind", PLANT_KINDS)
+def test_check_names_a_planted_violation_at_100_taxa(kind):
+    d = planted_map(100, kind, seed=1)
+    v = check_arboreal_conditions(d)
+    assert v is not None and violation_kind(v) == kind
+    assert check_violation(d, v)
 
 
 def test_clean_map_has_no_violation(seven_map, module_map):
